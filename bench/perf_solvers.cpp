@@ -1,7 +1,10 @@
 // google-benchmark micro-benchmarks for the numerical kernels: how the
-// CMFSD steady-state solve scales with K, and RK45 vs RK4 vs Newton cost
-// on the same system. These guard against performance regressions in the
-// sweep-heavy benches (fig4a solves 110 cells).
+// CMFSD steady-state solve (one scalar pool-rate root, O(K^2) per
+// evaluation of the pool equation) scales with K, and what the generic
+// routes cost on the same system: dopri5 and RK4 transients and the
+// Newton polish that math::find_equilibrium (CMFSD's test oracle, the
+// Adapt fluid model's solver) runs. These guard against performance
+// regressions in the sweep-heavy benches (fig4a solves 110 cells).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -72,7 +75,7 @@ void BM_Rk4FixedTransient(benchmark::State& state) {
 BENCHMARK(BM_Rk4FixedTransient)->Unit(benchmark::kMillisecond);
 
 void BM_NewtonPolish(benchmark::State& state) {
-  // Newton from a near-equilibrium start (the role it plays in solve()).
+  // Newton from a near-equilibrium start (its role in find_equilibrium).
   const fluid::CmfsdModel model = make_model(10, 0.3);
   const auto eq = model.solve();
   std::vector<double> start = eq.state;

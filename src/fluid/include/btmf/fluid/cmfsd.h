@@ -23,11 +23,18 @@
 //     dy^{i}/dt   = out(i,i)            - gamma y^i
 // where out(i,j) = mu eta P(i,j) x^{i,j} + S^{i,j}.
 //
-// There is no closed form; the steady state is found numerically
-// (transient RK45 integration + Newton polish). Two analytic anchors are
-// still available and used as test oracles:
-//  * y^i = lambda_i / gamma and per-stage throughput = lambda_i at any
-//    steady state (flow conservation);
+// The steady state reduces exactly to one scalar equation. At any steady
+// state every stage of class i carries flux lambda_i (flow conservation),
+// so with the pool rate S = mu (D + Y) / X (X = sum x, D = sum (1-P) x,
+// Y = sum y) each population is
+//     x^{i,j} = lambda_i / (mu eta P(i,j) + S),   y^i = lambda_i / gamma,
+// and S is the root of g(S) = S X(S) - mu (D(S) + Y). g is strictly
+// increasing (S X(S) rises, D(S) falls) from g(0+) < 0 to
+// g(inf) = sum_i i lambda_i - mu Y, so a steady state exists, and is
+// unique, iff sum_i i lambda_i > mu sum_i lambda_i / gamma. solve() finds
+// the root with Brent's method and certifies it against the full RHS;
+// math::find_equilibrium (transient integration + Newton polish) stays as
+// the independent test oracle. A further analytic anchor:
 //  * at rho = 1 the steady state download time per file equals the MFCD
 //    factor A exactly: with Lambda_tot = sum_i i lambda_i and
 //    Lambda_1 = sum_i lambda_i, every stage population is
@@ -93,8 +100,11 @@ class CmfsdModel {
   /// homogeneous process this returns exactly the autonomous RHS.
   [[nodiscard]] math::OdeRhs rhs(const ArrivalProcess& arrival) const;
 
-  /// Solves for the steady state from an empty torrent. Throws
-  /// btmf::SolverError if no equilibrium is reached (infeasible rates).
+  /// The steady state, as the root of the scalar pool-rate equation (see
+  /// the file comment). Only options.residual_tol is used: the point must
+  /// satisfy the full RHS to it. Throws btmf::SolverError, naming the
+  /// condition, when sum_i i lambda_i <= mu sum_i lambda_i / gamma (no
+  /// steady state exists).
   [[nodiscard]] CmfsdEquilibrium solve(
       const math::EquilibriumOptions& options = default_solve_options())
       const;

@@ -71,6 +71,12 @@ struct ArrivalProcess {
   /// Little's-law readouts on time-varying scenarios.
   [[nodiscard]] double mean_rate(double base, double a, double b) const;
 
+  /// The times in (a, b), ascending, at which lambda jumps: each pulse
+  /// edge of a flash crowd, none for the continuous kinds. Each is the
+  /// first double at which rate_at takes its new value, so an ODE
+  /// integration split there sees one rate per piece.
+  [[nodiscard]] std::vector<double> breakpoints(double a, double b) const;
+
   /// Throws btmf::ConfigError on out-of-domain parameters (NaN, negative
   /// rates, amplitude > 1, boost < 1, pulses == 0, ...).
   void validate() const;

@@ -19,6 +19,11 @@ struct TransientOptions {
   double t_end = 2000.0;       ///< trajectory horizon
   std::size_t samples = 200;   ///< uniform sample count (incl. t = 0)
   math::AdaptiveOptions ode{}; ///< integrator tolerances
+  /// Times at which the right-hand side jumps, ascending (e.g.
+  /// ArrivalProcess::breakpoints). No step crosses one, so a pulse
+  /// narrower than the step cannot be stepped over, and each piece is
+  /// integrated with the right-hand side's limit from inside it.
+  std::vector<double> breakpoints;
 };
 
 /// A sampled trajectory: `states[s]` is the full state at `times[s]`.
@@ -32,7 +37,8 @@ struct TransientSeries {
 };
 
 /// Integrates y' = f(y) from `y0` and samples on a uniform grid. Sample
-/// times are hit exactly (integration is split at each grid point).
+/// times are hit exactly (integration is split at each grid point and
+/// breakpoint, carrying the step controller's state across the splits).
 TransientSeries sample_trajectory(const math::OdeRhs& rhs,
                                   std::vector<double> y0,
                                   const TransientOptions& options = {});

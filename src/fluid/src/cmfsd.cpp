@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 
+#include "btmf/math/roots.h"
+#include "btmf/math/vec.h"
 #include "btmf/util/check.h"
+#include "btmf/util/error.h"
 
 namespace btmf::fluid {
 
@@ -14,6 +18,28 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 void validate_rho(double rho) {
   BTMF_CHECK_MSG(rho >= 0.0 && rho <= 1.0,
                  "bandwidth allocation ratio rho must lie in [0, 1]");
+}
+
+/// The right-hand side's per-stage constants in packed-state order
+/// (stage (i, j) at x_index(i, j)).
+struct StageCoefficients {
+  std::vector<double> rate;       ///< lambda_i of the stage's class
+  std::vector<double> tft;        ///< mu * eta * P(i, j)
+  std::vector<double> donation;   ///< 1 - P(i, j)
+};
+
+StageCoefficients stage_coefficients(const CmfsdModel& model) {
+  const FluidParams& params = model.params();
+  StageCoefficients c;
+  for (unsigned i = 1; i <= model.num_classes(); ++i) {
+    for (unsigned j = 1; j <= i; ++j) {
+      const double split = model.bandwidth_split(i, j);
+      c.rate.push_back(model.class_entry_rates()[i - 1]);
+      c.tft.push_back(params.mu * params.eta * split);
+      c.donation.push_back(1.0 - split);
+    }
+  }
+  return c;
 }
 
 }  // namespace
@@ -78,28 +104,24 @@ double CmfsdModel::bandwidth_split(unsigned i, unsigned j) const {
 }
 
 math::OdeRhs CmfsdModel::rhs() const {
-  // Copy model data into the closure so it is self-contained.
-  return [model = *this](double /*t*/, std::span<const double> state,
-                         std::span<double> dstate) {
-    const unsigned k = model.num_classes_;
-    BTMF_ASSERT(state.size() == model.state_size());
-    BTMF_ASSERT(dstate.size() == model.state_size());
-    const double mu = model.params_.mu;
-    const double eta = model.params_.eta;
-    const double gamma = model.params_.gamma;
+  // The closure owns its coefficients, so it outlives the model.
+  return [c = stage_coefficients(*this), rates = rates_, mu = params_.mu,
+          gamma = params_.gamma, size = state_size()](
+             double /*t*/, std::span<const double> state,
+             std::span<double> dstate) {
+    BTMF_ASSERT(state.size() == size);
+    BTMF_ASSERT(dstate.size() == size);
+    const std::size_t stages = c.tft.size();
 
     // Pool totals: all downloaders, virtual-seed bandwidth donors, seeds.
     double x_total = 0.0;
     double donated = 0.0;  // sum (1 - P(l,m)) x^{l,m}
-    for (unsigned i = 1; i <= k; ++i) {
-      for (unsigned j = 1; j <= i; ++j) {
-        const double x = state[model.x_index(i, j)];
-        x_total += x;
-        donated += (1.0 - model.bandwidth_split(i, j)) * x;
-      }
+    for (std::size_t s = 0; s < stages; ++s) {
+      x_total += state[s];
+      donated += c.donation[s] * state[s];
     }
     double y_total = 0.0;
-    for (unsigned i = 1; i <= k; ++i) y_total += state[model.y_index(i)];
+    for (std::size_t s = stages; s < size; ++s) y_total += state[s];
 
     // Seed-pool service rate per unit of downloader mass:
     // S^{i,j} = x^{i,j} * mu (donated + y_total) / x_total, defined as 0
@@ -107,17 +129,15 @@ math::OdeRhs CmfsdModel::rhs() const {
     const double pool_rate =
         x_total > 0.0 ? mu * (donated + y_total) / x_total : 0.0;
 
-    for (unsigned i = 1; i <= k; ++i) {
-      double inflow = model.rates_[i - 1];
-      for (unsigned j = 1; j <= i; ++j) {
-        const std::size_t idx = model.x_index(i, j);
-        const double x = state[idx];
-        const double outflow =
-            mu * eta * model.bandwidth_split(i, j) * x + pool_rate * x;
-        dstate[idx] = inflow - outflow;
+    std::size_t s = 0;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      double inflow = rates[i];
+      for (std::size_t j = 0; j <= i; ++j, ++s) {
+        const double outflow = c.tft[s] * state[s] + pool_rate * state[s];
+        dstate[s] = inflow - outflow;
         inflow = outflow;  // completion of file j feeds stage j + 1
       }
-      const std::size_t yi = model.y_index(i);
+      const std::size_t yi = stages + i;
       dstate[yi] = inflow - gamma * state[yi];
     }
   };
@@ -154,22 +174,77 @@ math::EquilibriumOptions CmfsdModel::default_solve_options() {
 
 CmfsdEquilibrium CmfsdModel::solve(
     const math::EquilibriumOptions& options) const {
-  const math::EquilibriumResult eq = math::find_equilibrium(
-      rhs(), std::vector<double>(state_size(), 0.0), options);
+  const double mu = params_.mu;
+  const double gamma = params_.gamma;
+  double demand = 0.0;  // sum_i i lambda_i
+  double seeds = 0.0;   // Y = sum_i lambda_i / gamma
+  for (unsigned i = 1; i <= num_classes_; ++i) {
+    demand += i * rates_[i - 1];
+    seeds += rates_[i - 1] / gamma;
+  }
+  if (!(demand > mu * seeds)) {
+    std::ostringstream message;
+    message << "CMFSD has no steady state: sum_i i*lambda_i = " << demand
+            << " <= mu * sum_i lambda_i / gamma = " << mu * seeds
+            << ", so the seeds alone outserve every download and the "
+               "downloader populations drain to zero";
+    throw SolverError(message.str());
+  }
+
+  // Every stage carries flux lambda_i at a steady state, so with the pool
+  // rate S each population is x^{i,j} = lambda_i / (mu eta P(i,j) + S)
+  // and S solves g(S) = S X(S) - mu (D(S) + Y) = 0. S X(S) rises and the
+  // donated mass D(S) falls with S, so g is strictly increasing from
+  // g(0+) < 0 to g(inf) = demand - mu Y > 0: the root exists and is
+  // unique. At rho = 0 g is singular at S = 0, so the bracket starts
+  // from a positive guess: the rho = 1 closed form.
+  const StageCoefficients c = stage_coefficients(*this);
+  const auto g = [&](double pool) {
+    double served = 0.0;   // S X(S)
+    double donated = 0.0;  // D(S)
+    for (std::size_t s = 0; s < c.tft.size(); ++s) {
+      const double x = c.rate[s] / (c.tft[s] + pool);
+      served += pool * x;
+      donated += c.donation[s] * x;
+    }
+    return served - mu * (donated + seeds);
+  };
+  double lo = mu * params_.eta * mu * seeds / (demand - mu * seeds);
+  double hi = lo;
+  for (; g(lo) > 0.0; lo *= 0.5) hi = lo;
+  for (; g(hi) < 0.0; hi *= 2.0) lo = hi;
+  math::RootOptions root_options;
+  root_options.x_tol = 4.0 * std::numeric_limits<double>::epsilon() * hi;
+  root_options.f_tol = 0.0;
+  const double pool =
+      lo == hi ? lo : math::brent_root(g, lo, hi, root_options);
 
   CmfsdEquilibrium result;
-  result.state = eq.y;
-  result.residual_inf = eq.residual_inf;
-  result.metrics = metrics_from_state(result.state);
+  result.state.assign(state_size(), 0.0);
+  for (std::size_t s = 0; s < c.tft.size(); ++s) {
+    const double x = c.rate[s] / (c.tft[s] + pool);
+    result.state[s] = x;
+    result.total_downloaders += x;
+    result.virtual_seed_bandwidth += c.donation[s] * mu * x;
+  }
   for (unsigned i = 1; i <= num_classes_; ++i) {
-    for (unsigned j = 1; j <= i; ++j) {
-      const double x = result.state[x_index(i, j)];
-      result.total_downloaders += x;
-      result.virtual_seed_bandwidth +=
-          (1.0 - bandwidth_split(i, j)) * params_.mu * x;
-    }
+    result.state[y_index(i)] = rates_[i - 1] / gamma;
     result.total_seeds += result.state[y_index(i)];
   }
+
+  // Certify the point against the full right-hand side.
+  std::vector<double> residual(state_size());
+  rhs()(0.0, result.state, residual);
+  result.residual_inf =
+      math::norm_inf(residual) / (1.0 + math::norm_inf(result.state));
+  if (!(result.residual_inf <= options.residual_tol)) {
+    std::ostringstream message;
+    message << "CMFSD: the pool-rate root S = " << pool
+            << " leaves residual " << result.residual_inf << " above "
+            << options.residual_tol;
+    throw SolverError(message.str());
+  }
+  result.metrics = metrics_from_state(result.state);
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "btmf/util/check.h"
 #include "btmf/util/strings.h"
@@ -85,6 +86,33 @@ double ArrivalProcess::mean_rate(double base, double a, double b) const {
     }
   }
   return base;
+}
+
+std::vector<double> ArrivalProcess::breakpoints(double a, double b) const {
+  std::vector<double> out;
+  if (kind != ArrivalKind::kFlashCrowd) return out;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double step = interval > 0.0 ? interval : width;
+  for (unsigned n = 0; n < pulses; ++n) {
+    const double lo = t0 + static_cast<double>(n) * step;
+    for (const double edge : {lo, lo + width}) {
+      // rate_at rounds (t - t0) / step, so its jump can sit an ulp or two
+      // off the computed edge: find it in a few ulps around. Back-to-back
+      // pulses have no jump between them and yield nothing.
+      double t = edge;
+      for (int u = 0; u < 4; ++u) t = std::nextafter(t, -kInf);
+      for (int u = 0; u < 8; ++u, t = std::nextafter(t, kInf)) {
+        if (rate_at(1.0, t) == rate_at(1.0, std::nextafter(t, -kInf))) {
+          continue;
+        }
+        if (t > a && t < b && (out.empty() || out.back() < t)) {
+          out.push_back(t);
+        }
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 void ArrivalProcess::validate() const {

@@ -25,6 +25,9 @@ TransientSeries sample_trajectory(const math::OdeRhs& rhs,
   BTMF_CHECK_MSG(options.t_end > 0.0, "t_end must be positive");
   BTMF_CHECK_MSG(options.samples >= 2, "need at least two samples");
   BTMF_CHECK_MSG(!y0.empty(), "empty initial state");
+  BTMF_CHECK_MSG(std::is_sorted(options.breakpoints.begin(),
+                                options.breakpoints.end()),
+                 "breakpoints must be ascending");
 
   TransientSeries series;
   series.times.reserve(options.samples);
@@ -35,15 +38,39 @@ TransientSeries sample_trajectory(const math::OdeRhs& rhs,
   math::AdaptiveOptions ode = options.ode;
   ode.clamp_nonnegative = true;
 
+  // Integrates [t, t1] and carries the controller's next step onwards.
+  // A piece ending at a jump sees the right-hand side's limit from the
+  // left there, which is what a stage landing on t1 must use.
+  std::vector<double> y = std::move(y0);
+  double t = 0.0;
+  const auto advance = [&](double t1, bool jump_at_end) {
+    math::AdaptiveResult step;
+    if (jump_at_end) {
+      const double inside = std::nextafter(t1, t);
+      step = math::integrate_dopri5(
+          [&rhs, inside](double s, std::span<const double> state,
+                         std::span<double> dstate) {
+            rhs(std::min(s, inside), state, dstate);
+          },
+          std::move(y), t, t1, ode);
+    } else {
+      step = math::integrate_dopri5(rhs, std::move(y), t, t1, ode);
+    }
+    y = std::move(step.y);
+    t = t1;
+    ode.initial_dt = step.next_dt;
+  };
+
   const double dt =
       options.t_end / static_cast<double>(options.samples - 1);
-  std::vector<double> y = std::move(y0);
+  auto jump = std::upper_bound(options.breakpoints.begin(),
+                               options.breakpoints.end(), 0.0);
   for (std::size_t s = 1; s < options.samples; ++s) {
-    const double t0 = dt * static_cast<double>(s - 1);
     const double t1 = dt * static_cast<double>(s);
-    math::AdaptiveResult step =
-        math::integrate_dopri5(rhs, std::move(y), t0, t1, ode);
-    y = std::move(step.y);
+    for (; jump != options.breakpoints.end() && *jump < t1; ++jump) {
+      if (*jump > t) advance(*jump, true);
+    }
+    advance(t1, jump != options.breakpoints.end() && *jump == t1);
     series.times.push_back(t1);
     series.states.push_back(y);
   }

@@ -51,10 +51,14 @@ std::vector<double> integrate_fixed(const OdeRhs& rhs,
 struct AdaptiveOptions {
   double rtol = 1e-8;          ///< relative tolerance
   double atol = 1e-10;         ///< absolute tolerance
-  double initial_dt = 0.0;     ///< 0 = choose automatically
+  /// First step to try; 0 = (t1 - t0) / 100. Pass the previous call's
+  /// AdaptiveResult::next_dt to continue a trajectory across intervals.
+  double initial_dt = 0.0;
   double max_dt = 0.0;         ///< 0 = no cap
   std::size_t max_steps = 1'000'000;
-  bool clamp_nonnegative = false;  ///< clip tiny negative populations
+  /// Clip tiny negative populations after each accepted step. The
+  /// first-same-as-last stage is reused unless the clip changed the state.
+  bool clamp_nonnegative = false;
 
   /// Optional Chrome-trace writer (non-owning, null = inert): the whole
   /// integration becomes one "ode.integrate" span stamped with the
@@ -66,14 +70,19 @@ struct AdaptiveOptions {
 
 struct AdaptiveResult {
   std::vector<double> y;       ///< state at the final time
-  double t = 0.0;              ///< final time reached (== t1 on success)
+  double t = 0.0;              ///< final time reached (exactly t1)
   std::size_t accepted_steps = 0;
   std::size_t rejected_steps = 0;
+  /// The step the controller proposed after the final accepted step (0 if
+  /// no step was taken): the initial_dt for a call continuing from t1.
+  double next_dt = 0.0;
 };
 
 /// Dormand–Prince RK5(4) with embedded error estimate and standard
-/// step-size control. Throws btmf::SolverError if the step size underflows
-/// or the step budget is exhausted.
+/// step-size control. The final step lands exactly on t1; a remainder
+/// below the underflow floor (1e-14 of the span) is absorbed into it.
+/// Throws btmf::SolverError if the step size underflows or the step
+/// budget is exhausted.
 AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
                                 double t0, double t1,
                                 const AdaptiveOptions& options = {},

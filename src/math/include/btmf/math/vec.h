@@ -68,9 +68,17 @@ inline bool all_finite(std::span<const double> x) {
 }
 
 /// Componentwise max(x, 0) — used to clamp populations that dip a hair
-/// below zero from integrator truncation error.
-inline void clamp_nonnegative(std::span<double> x) {
-  for (double& v : x) v = std::max(v, 0.0);
+/// below zero from integrator truncation error. Returns whether any
+/// component changed.
+inline bool clamp_nonnegative(std::span<double> x) {
+  bool changed = false;
+  for (double& v : x) {
+    if (v < 0.0) {
+      v = 0.0;
+      changed = true;
+    }
+  }
+  return changed;
 }
 
 }  // namespace btmf::math

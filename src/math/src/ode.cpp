@@ -125,37 +125,52 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
   dt = std::min(dt, max_dt);
   const double min_dt = span_t * 1e-14;
 
-  std::vector<std::vector<double>> k(7, std::vector<double>(n));
-  std::vector<double> y_stage(n), y5(n), err(n);
+  // The seven stages k_0..k_6 back to back: stage s is k[s*n, (s+1)*n).
+  // Every loop below runs stage-outer over contiguous rows and adds the
+  // terms of each component in the same order as the textbook
+  // component-outer form, so the arithmetic is the same bit for bit.
+  std::vector<double> k(7 * n);
+  const auto stage = [&k, n](std::size_t s) {
+    return std::span<double>(k.data() + s * n, n);
+  };
+  std::vector<double> y_stage(n), acc5(n), acc4(n), y5(n), err(n);
 
   // FSAL: stage 0 of the next step reuses stage 6 of the accepted step.
-  rhs(result.t, result.y, k[0]);
+  rhs(result.t, result.y, stage(0));
 
   while (result.t < t1) {
-    dt = std::min(dt, t1 - result.t);
     if (dt < min_dt) {
       throw SolverError("dopri5: step size underflow at t = " +
                         std::to_string(result.t));
     }
+    // The step that reaches t1 (or would leave less than min_dt of it)
+    // is shortened or stretched to land on t1 exactly.
+    double h = dt;
+    const bool last = t1 - result.t - h < min_dt;
+    if (last) h = t1 - result.t;
 
     for (std::size_t s = 1; s < 7; ++s) {
-      for (std::size_t i = 0; i < n; ++i) {
-        double acc = result.y[i];
-        for (std::size_t j = 0; j < s; ++j) acc += dt * kA[s][j] * k[j][i];
-        y_stage[i] = acc;
+      std::copy(result.y.begin(), result.y.end(), y_stage.begin());
+      for (std::size_t j = 0; j < s; ++j) {
+        const double a = h * kA[s][j];
+        const double* kj = k.data() + j * n;
+        for (std::size_t i = 0; i < n; ++i) y_stage[i] += a * kj[i];
       }
-      rhs(result.t + kC[s] * dt, y_stage, k[s]);
+      rhs(result.t + kC[s] * h, y_stage, stage(s));
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc5 = 0.0;
-      double acc4 = 0.0;
-      for (std::size_t s = 0; s < 7; ++s) {
-        acc5 += kB5[s] * k[s][i];
-        acc4 += kB4[s] * k[s][i];
+    std::fill(acc5.begin(), acc5.end(), 0.0);
+    std::fill(acc4.begin(), acc4.end(), 0.0);
+    for (std::size_t s = 0; s < 7; ++s) {
+      const double* ks = k.data() + s * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        acc5[i] += kB5[s] * ks[i];
+        acc4[i] += kB4[s] * ks[i];
       }
-      y5[i] = result.y[i] + dt * acc5;
-      err[i] = dt * (acc5 - acc4);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      y5[i] = result.y[i] + h * acc5[i];
+      err[i] = h * (acc5[i] - acc4[i]);
     }
 
     const double err_norm =
@@ -163,22 +178,24 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
                        : std::numeric_limits<double>::infinity();
 
     if (err_norm <= 1.0) {
-      result.t += dt;
-      result.y = y5;
-      if (options.clamp_nonnegative) clamp_nonnegative(result.y);
+      result.t = last ? t1 : result.t + h;
+      result.y.swap(y5);
+      const bool clamped =
+          options.clamp_nonnegative && clamp_nonnegative(result.y);
       ++result.accepted_steps;
       if (options.trace != nullptr && options.trace_steps) {
         std::ostringstream args;
-        args << "{\"t\": " << result.t << ", \"dt\": " << dt << "}";
+        args << "{\"t\": " << result.t << ", \"dt\": " << h << "}";
         options.trace->instant("ode.step", args.str());
       }
       if (observer) observer(result.t, result.y);
-      // FSAL: k7 (== k[6]) evaluated at (t+dt, y5) is the next step's k1.
-      // Clamping invalidates it, so re-evaluate in that case.
-      if (options.clamp_nonnegative) {
-        rhs(result.t, result.y, k[0]);
+      // FSAL: k_6, evaluated at (t + h, y5), is the next step's k_0 —
+      // unless the clip moved the state off y5.
+      if (clamped) {
+        rhs(result.t, result.y, stage(0));
       } else {
-        k[0].swap(k[6]);
+        std::copy(k.begin() + 6 * static_cast<std::ptrdiff_t>(n), k.end(),
+                  k.begin());
       }
     } else {
       ++result.rejected_steps;
@@ -195,8 +212,9 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
       factor = 0.9 * std::pow(err_norm, -0.2);
       factor = std::clamp(factor, 0.2, 5.0);
     }
-    dt = std::min(dt * factor, max_dt);
+    dt = std::min(h * factor, max_dt);
   }
+  result.next_dt = dt;
   if (span.has_value()) {
     std::ostringstream args;
     args << "{\"t0\": " << t0 << ", \"t1\": " << t1

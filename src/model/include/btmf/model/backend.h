@@ -3,7 +3,7 @@
 // A Backend turns a ScenarioSpec into an Outcome. Four are registered:
 //
 //   fluid-equilibrium  the paper's steady-state models (closed forms where
-//                      they exist, transient-plus-Newton solve for CMFSD)
+//                      they exist, a scalar pool-rate root for CMFSD)
 //   fluid-transient    the same ODEs integrated to the spec's horizon and
 //                      read out with Little's law — plus the trajectory
 //   kernel-sim         the policy-driven discrete-event kernel (replication

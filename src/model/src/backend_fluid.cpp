@@ -194,6 +194,7 @@ class FluidTransientBackend final : public Backend {
     options.t_end = spec.horizon;
     options.samples = spec.transient_samples;
     options.ode = spec.solver.ode;
+    options.breakpoints = spec.arrival.breakpoints(0.0, spec.horizon);
 
     switch (spec.scheme) {
       case fluid::SchemeKind::kMtcd:

@@ -278,34 +278,47 @@ struct Daemon::Impl {
     return sweep::CacheKey{"serve", key, "outcome"};
   }
 
+  /// One DiskCache probe, counted as a hit when it answers. A corrupt
+  /// entry is quarantined and reads as a miss.
+  std::optional<Dispatched> cached(const std::string& key) {
+    if (!cache_) return std::nullopt;
+    sweep::PointResult result;
+    const sweep::CacheKey ck = cache_key(key);
+    switch (cache_->lookup(ck, &result)) {
+      case sweep::CacheLookup::kHit:
+        registry_.add(ids_.cache_hit);
+        return Dispatched{Dispatched::Kind::kHit, std::move(result.values),
+                          nullptr, false};
+      case sweep::CacheLookup::kCorrupt:
+        cache_->quarantine(ck);
+        registry_.add(ids_.quarantined);
+        break;
+      case sweep::CacheLookup::kMiss:
+        break;
+    }
+    return std::nullopt;
+  }
+
   /// Cache probe + coalescing + admission for one (backend, spec) point.
   Dispatched dispatch(const std::string& backend,
                       const model::ScenarioSpec& spec) {
     const std::string key = task_key(backend, spec);
-    if (cache_) {
-      sweep::PointResult result;
-      const sweep::CacheKey ck = cache_key(key);
-      switch (cache_->lookup(ck, &result)) {
-        case sweep::CacheLookup::kHit:
-          registry_.add(ids_.cache_hit);
-          return {Dispatched::Kind::kHit, std::move(result.values), nullptr,
-                  false};
-        case sweep::CacheLookup::kCorrupt:
-          cache_->quarantine(ck);
-          registry_.add(ids_.quarantined);
-          break;
-        case sweep::CacheLookup::kMiss:
-          break;
-      }
-    }
-    registry_.add(ids_.cache_miss);
+    if (std::optional<Dispatched> hit = cached(key)) return std::move(*hit);
 
     // The inflight lock covers the draining check, the coalescing probe,
     // AND the queue submit: a waiter can only attach to a Pending that is
     // either queued or will be erased before anyone else can see it.
     std::lock_guard<std::mutex> lock(inflight_mutex_);
+    const auto it = inflight_.find(key);
+    if (!draining_ && it == inflight_.end()) {
+      // compute() stores its result before it leaves inflight_ under this
+      // lock, so a computation that finished since the probe above has
+      // its result on disk now: probe again rather than start a second.
+      if (std::optional<Dispatched> hit = cached(key)) return std::move(*hit);
+    }
+    registry_.add(ids_.cache_miss);
     if (draining_) return {Dispatched::Kind::kDraining, {}, nullptr, false};
-    if (const auto it = inflight_.find(key); it != inflight_.end()) {
+    if (it != inflight_.end()) {
       registry_.add(ids_.coalesced);
       return {Dispatched::Kind::kWait, {}, it->second, true};
     }

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "btmf/fluid/correlation.h"
 #include "btmf/fluid/mfcd.h"
 #include "btmf/fluid/single_torrent.h"
+#include "btmf/math/equilibrium.h"
 #include "btmf/math/newton.h"
+#include "btmf/math/vec.h"
 #include "btmf/util/error.h"
 
 namespace btmf::fluid {
@@ -139,11 +143,11 @@ TEST(CmfsdTest, VirtualSeedBandwidthPositiveOnlyWhenRhoBelowOne) {
   EXPECT_NEAR(eq1.virtual_seed_bandwidth, 0.0, 1e-12);
 }
 
-TEST(CmfsdTest, NewtonFromScratchAgreesWithTransientIntegration) {
+TEST(CmfsdTest, NewtonFromScratchAgreesWithPoolRateRoot) {
   // Two independent numerical routes to the same fixed point.
   const auto rates = paper_rates(0.7);
   const CmfsdModel model(kPaperParams, rates, 0.3);
-  const CmfsdEquilibrium via_integration = model.solve();
+  const CmfsdEquilibrium via_root = model.solve();
 
   const math::OdeRhs rhs = model.rhs();
   const math::VectorField field = [&rhs](std::span<const double> x,
@@ -161,9 +165,85 @@ TEST(CmfsdTest, NewtonFromScratchAgreesWithTransientIntegration) {
   const math::NewtonResult newton = math::newton_solve(field, guess, options);
   ASSERT_TRUE(newton.converged);
   for (std::size_t s = 0; s < model.state_size(); ++s) {
-    EXPECT_NEAR(newton.x[s], via_integration.state[s],
-                1e-5 * (1.0 + via_integration.state[s]))
+    EXPECT_NEAR(newton.x[s], via_root.state[s],
+                1e-5 * (1.0 + via_root.state[s]))
         << "state " << s;
+  }
+}
+
+/// solve() against the generic route: integrate the ODE from an empty
+/// torrent, then polish with Newton (find_equilibrium).
+void expect_root_matches_integration(const CmfsdModel& model,
+                                     const std::string& label) {
+  const CmfsdEquilibrium root = model.solve();
+  const math::EquilibriumResult oracle = math::find_equilibrium(
+      model.rhs(), std::vector<double>(model.state_size(), 0.0),
+      CmfsdModel::default_solve_options());
+  // The oracle resolves the state to its residual tolerance, scaled by
+  // the largest population: a class entering at 1e-16 of the busiest
+  // one's rate has populations below that resolution, so per-class
+  // times are compared for classes above 1e-6 of the busiest.
+  const double scale = 1.0 + math::norm_inf(oracle.y);
+  for (std::size_t s = 0; s < model.state_size(); ++s) {
+    EXPECT_NEAR(root.state[s], oracle.y[s], 1e-9 * scale)
+        << label << " state " << s;
+  }
+  const std::vector<double>& rates = model.class_entry_rates();
+  const double busiest = *std::max_element(rates.begin(), rates.end());
+  const PerClassMetrics expected = model.metrics_from_state(oracle.y);
+  for (unsigned i = 0; i < model.num_classes(); ++i) {
+    if (rates[i] == 0.0) {
+      EXPECT_TRUE(std::isnan(root.metrics.download_time[i]));
+    } else if (rates[i] >= 1e-6 * busiest) {
+      EXPECT_NEAR(root.metrics.download_time[i], expected.download_time[i],
+                  1e-9 * expected.download_time[i])
+          << label << " class " << i + 1;
+    }
+  }
+  EXPECT_NEAR(average_download_time_per_file(root.metrics, rates),
+              average_download_time_per_file(expected, rates),
+              1e-9 * average_download_time_per_file(expected, rates))
+      << label;
+  EXPECT_LE(root.residual_inf, 1e-12) << label;
+}
+
+TEST(CmfsdTest, PoolRateRootMatchesIntegratedEquilibrium) {
+  for (const unsigned k : {1u, 2u, 5u, 10u, 20u, 40u}) {
+    for (const double p : {0.1, 0.5, 1.0}) {
+      const auto rates = CorrelationModel(k, p, 1.0).system_entry_rates();
+      for (const double rho : {0.0, 0.3, 1.0}) {
+        expect_root_matches_integration(
+            CmfsdModel(kPaperParams, rates, rho),
+            "K=" + std::to_string(k) + " p=" + std::to_string(p) +
+                " rho=" + std::to_string(rho));
+      }
+    }
+  }
+  // Per-class rho: obedient classes donate everything, cheaters none.
+  for (const unsigned k : {10u, 20u}) {
+    std::vector<double> rho(k, 0.0);
+    for (unsigned i = k / 2; i < k; ++i) rho[i] = 1.0;
+    expect_root_matches_integration(
+        CmfsdModel(kPaperParams,
+                   CorrelationModel(k, 0.9, 1.0).system_entry_rates(), rho),
+        "cheaters K=" + std::to_string(k));
+  }
+}
+
+TEST(CmfsdTest, InfeasibleRatesFailFastNamingTheCondition) {
+  // mu / gamma = 2.5 seeds' worth of upload per departing peer outserves
+  // the 12/7 files a K = 3, p = 0.5 visitor wants: no steady state.
+  const FluidParams params{0.05, 0.5, 0.02};
+  const CmfsdModel model(
+      params, CorrelationModel(3, 0.5, 1.0).system_entry_rates(), 0.5);
+  try {
+    (void)model.solve();
+    FAIL() << "expected a SolverError";
+  } catch (const SolverError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sum_i i*lambda_i"), std::string::npos) << what;
+    EXPECT_NE(what.find("<= mu * sum_i lambda_i / gamma"), std::string::npos)
+        << what;
   }
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "btmf/fluid/cmfsd.h"
 #include "btmf/fluid/correlation.h"
+#include "btmf/fluid/demand.h"
+#include "btmf/fluid/mtcd.h"
 #include "btmf/fluid/single_torrent.h"
 #include "btmf/util/error.h"
 
@@ -91,6 +94,89 @@ TEST(TransientTest, FlashCrowdPeakExceedsSteadyState) {
   const double peak = peak_value(series, total_downloaders);
   EXPECT_NEAR(peak, 500.0, 1.0);  // the crowd itself is the peak
   EXPECT_LT(total_downloaders(series.states.back()), 50.0);
+}
+
+TEST(TransientTest, PulseBreakpointsAreTheExactJumpsOfTheRate) {
+  ArrivalProcess train;
+  train.kind = ArrivalKind::kFlashCrowd;
+  train.t0 = 3007.3;
+  train.width = 0.7;
+  train.boost = 20.0;
+  train.interval = 10.1;
+  train.pulses = 3;
+  const std::vector<double> edges = train.breakpoints(0.0, 6000.0);
+  ASSERT_EQ(edges.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const double before = std::nextafter(edges[e], 0.0);
+    // Pulse starts switch the boost on, pulse ends switch it off.
+    EXPECT_EQ(train.rate_at(1.0, before), e % 2 == 0 ? 1.0 : 20.0) << e;
+    EXPECT_EQ(train.rate_at(1.0, edges[e]), e % 2 == 0 ? 20.0 : 1.0) << e;
+    const auto pulse = static_cast<double>(e / 2);
+    EXPECT_NEAR(edges[e], 3007.3 + 10.1 * pulse + (e % 2 == 0 ? 0.0 : 0.7),
+                1e-9);
+  }
+  // Only edges strictly inside the window; back-to-back pulses merge.
+  EXPECT_EQ(train.breakpoints(3008.0, 3018.0).size(), 2u);
+  train.interval = train.width;
+  EXPECT_EQ(train.breakpoints(0.0, 6000.0).size(), 2u);
+  EXPECT_TRUE(ArrivalProcess{}.breakpoints(0.0, 6000.0).empty());
+  EXPECT_TRUE(parse_arrival("diurnal,0.5,400,0").breakpoints(0.0, 6000.0)
+                  .empty());
+}
+
+TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
+  // One 20x flash pulse mid-horizon. By t = 3000 the step has grown to
+  // tens of time units, so a trajectory that is not split at the pulse
+  // edges steps over a pulse of width 1 or 3 and misses its crowd (the
+  // readout then lands ~1% off). The reference is split the same way and
+  // caps every step at 0.05.
+  const CorrelationModel corr(5, 0.9, 1.0);
+  const CmfsdModel cmfsd(kPaperParams, corr.system_entry_rates(), 0.3);
+  for (const double width : {1.0, 3.0, 10.0}) {
+    ArrivalProcess pulse;
+    pulse.kind = ArrivalKind::kFlashCrowd;
+    pulse.t0 = 3007.3;
+    pulse.width = width;
+    pulse.boost = 20.0;
+    const struct {
+      const char* scheme;
+      math::OdeRhs rhs;
+      std::size_t size;
+    } systems[] = {
+        {"MTSD",
+         single_torrent_rhs(kPaperParams, corr.per_torrent_total_rate(),
+                            pulse),
+         2},
+        {"MTCD", mtcd_rhs(kPaperParams, corr.per_torrent_entry_rates(), pulse),
+         10},
+        {"CMFSD", cmfsd.rhs(pulse), cmfsd.state_size()},
+    };
+    for (const auto& system : systems) {
+      TransientOptions options;
+      options.t_end = 6000.0;
+      options.ode.rtol = 1e-9;
+      options.ode.atol = 1e-12;
+      options.breakpoints = pulse.breakpoints(0.0, options.t_end);
+      ASSERT_EQ(options.breakpoints.size(), 2u);
+      TransientOptions reference = options;
+      reference.ode.max_dt = 0.05;
+      const std::vector<double> y0(system.size, 0.0);
+      const TransientSeries split =
+          sample_trajectory(system.rhs, y0, options);
+      const TransientSeries fine =
+          sample_trajectory(system.rhs, y0, reference);
+      double worst = 0.0;
+      for (std::size_t s = 0; s < split.states.size(); ++s) {
+        for (std::size_t c = 0; c < system.size; ++c) {
+          const double want = fine.states[s][c];
+          worst = std::max(worst, std::abs(split.states[s][c] - want) /
+                                      (1.0 + std::abs(want)));
+        }
+      }
+      EXPECT_LT(worst, 2e-9) << system.scheme << " width " << width;
+    }
+  }
 }
 
 TEST(TransientTest, MapReducesEverySample) {

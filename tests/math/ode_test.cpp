@@ -184,5 +184,86 @@ TEST(Dopri5Test, ObserverOnlySeesAcceptedSteps) {
   EXPECT_DOUBLE_EQ(last_t, 2.0);
 }
 
+// y' = 1e-5 (1 - y): slow enough that one step spans a whole interval
+// of a 199-interval grid over [0, 40000].
+const OdeRhs kSlowRelax = [](double, std::span<const double> y,
+                             std::span<double> d) {
+  d[0] = 1e-5 * (1.0 - y[0]);
+};
+constexpr double kGridSpan = 40000.0 / 199.0;
+
+TEST(Dopri5Test, FinalStepLandsExactlyOnT1) {
+  // Each interval of the grid starts with the previous interval's length
+  // as its first step. The two lengths differ in the last bits, so that
+  // step stops an ulp or two short of t1: the remainder is absorbed into
+  // the step instead of becoming a step below the underflow floor.
+  for (int s = 2; s <= 199; ++s) {
+    const double t0 = kGridSpan * (s - 1);
+    const double t1 = kGridSpan * s;
+    AdaptiveOptions options;
+    options.initial_dt = t0 - kGridSpan * (s - 2);
+    double last_t = 0.0;
+    AdaptiveResult r;
+    ASSERT_NO_THROW(r = integrate_dopri5(
+                        kSlowRelax, {0.5}, t0, t1, options,
+                        [&](double t, std::span<const double>) { last_t = t; }))
+        << "interval " << s;
+    EXPECT_EQ(r.t, t1);
+    EXPECT_EQ(last_t, t1);
+    if (t1 - (t0 + options.initial_dt) < (t1 - t0) * 1e-14) {
+      EXPECT_EQ(r.accepted_steps, 1u) << "interval " << s;
+    }
+    EXPECT_GT(r.next_dt, 0.0);
+  }
+}
+
+TEST(Dopri5Test, CarriedStepAcrossChainedIntervalsNeverUnderflows) {
+  // A trajectory sampled on the 199-interval grid, each call starting
+  // from the step the previous one proposed (capped at its own span).
+  AdaptiveOptions options;
+  options.rtol = 1e-9;
+  options.atol = 1e-12;
+  options.clamp_nonnegative = true;
+  std::vector<double> y{0.0};
+  for (int s = 1; s <= 199; ++s) {
+    const double t1 = kGridSpan * s;
+    AdaptiveResult r;
+    ASSERT_NO_THROW(r = integrate_dopri5(kSlowRelax, std::move(y),
+                                         kGridSpan * (s - 1), t1, options))
+        << "interval " << s;
+    EXPECT_EQ(r.t, t1);
+    y = std::move(r.y);
+    options.initial_dt = r.next_dt;
+  }
+  EXPECT_NEAR(y[0], 1.0 - std::exp(-0.4), 1e-9);
+}
+
+TEST(Dopri5Test, AcceptedStepWithoutClampingCostsSixRhsCalls) {
+  // FSAL: the seventh stage of an accepted step is the next step's
+  // first, also with clamp_nonnegative on as long as nothing was clipped.
+  std::size_t calls = 0;
+  const OdeRhs counted = [&calls](double, std::span<const double> y,
+                                  std::span<double> d) {
+    ++calls;
+    d[0] = -y[0];
+  };
+  AdaptiveOptions options;
+  options.clamp_nonnegative = true;
+  const AdaptiveResult r = integrate_dopri5(counted, {1.0}, 0.0, 5.0, options);
+  EXPECT_EQ(calls, 1 + 6 * (r.accepted_steps + r.rejected_steps));
+
+  // A step whose result is clipped re-evaluates its first stage.
+  calls = 0;
+  const OdeRhs sink = [&calls](double, std::span<const double>,
+                               std::span<double> d) {
+    ++calls;
+    d[0] = -1.0;
+  };
+  const AdaptiveResult clipped =
+      integrate_dopri5(sink, {0.5}, 0.0, 2.0, options);
+  EXPECT_GT(calls, 1 + 6 * (clipped.accepted_steps + clipped.rejected_steps));
+  EXPECT_EQ(clipped.y[0], 0.0);
+}
+
 }  // namespace
 }  // namespace btmf::math

@@ -153,6 +153,60 @@ TEST_F(ServeDaemonTest, NIdenticalConcurrentRequestsCostOneEvaluation) {
   daemon.drain();
 }
 
+TEST_F(ServeDaemonTest, DuplicatePairsOfFreshSpecsEvaluateOnce) {
+  // Two clients send the same fresh specs in the same order, so each spec
+  // arrives twice at about the same moment. The second copy joins the
+  // computation in flight or, once that has finished, reads its result
+  // from the cache. It never starts a second evaluation, also not when
+  // its first cache probe misses just before the store lands.
+  constexpr std::size_t kSpecs = 2000;
+  DaemonOptions options = base_options("duplicate_pairs");
+  std::atomic<std::size_t> evaluations{0};
+  options.eval = [&](const std::string&, const model::ScenarioSpec& spec) {
+    evaluations.fetch_add(1);
+    return robust::Values{{"p", spec.correlation}};
+  };
+  Daemon daemon(options);
+  daemon.start();
+
+  std::vector<model::ScenarioSpec> specs;
+  for (std::size_t i = 0; i < kSpecs; ++i) {
+    model::ScenarioSpec spec = quick_spec();
+    spec.correlation = 0.5 + 1e-4 * static_cast<double>(i);
+    specs.push_back(spec);
+  }
+  std::atomic<std::size_t> wrong{0};
+  {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 2; ++c) {
+      clients.emplace_back([&] {
+        Client client = Client::connect(daemon.endpoint());
+        for (const model::ScenarioSpec& spec : specs) {
+          const EvalReply reply = client.evaluate("fluid-equilibrium", spec);
+          if (!reply.ok || reply.values.at("p") != spec.correlation) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& thread : clients) thread.join();
+  }
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(evaluations.load(), kSpecs)
+      << "a duplicate started a second evaluation";
+  const obs::MetricsSnapshot snapshot = daemon.stats();
+  EXPECT_EQ(snapshot.counters.at("serve.evaluations"), kSpecs);
+  // Each pair: one miss computes; its twin either coalesced (a miss too)
+  // or hit the cache.
+  EXPECT_EQ(snapshot.counters.at("serve.coalesced") +
+                snapshot.counters.at("serve.cache_hit"),
+            kSpecs);
+  EXPECT_EQ(snapshot.counters.at("serve.cache_miss"),
+            kSpecs + snapshot.counters.at("serve.coalesced"));
+  daemon.drain();
+}
+
 TEST_F(ServeDaemonTest, FullQueueAnswersTypedOverload) {
   DaemonOptions options = base_options("overload");
   options.workers = 1;
