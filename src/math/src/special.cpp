@@ -6,11 +6,23 @@
 
 namespace btmf::math {
 
+namespace {
+
+/// ln Gamma(x) for x >= 1. std::lgamma writes the global `signgam`, a
+/// data race when fluid evaluations run on several threads; lgamma_r is
+/// the same glibc routine with the sign returned through an argument.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double log_binomial_coefficient(unsigned n, unsigned k) {
   BTMF_CHECK_MSG(k <= n, "binomial coefficient needs k <= n");
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double binomial_coefficient(unsigned n, unsigned k) {

@@ -115,6 +115,14 @@ struct ChunkSimConfig {
   double warmup = 1000.0;
   std::uint64_t seed = 42;
   std::size_t max_peers = 200'000;
+  /// Runs the invariant auditor at the end of every slot and throws
+  /// btmf::AuditError at the first violation: the availability census
+  /// against the offered bitmaps, TFT credit conservation, donated
+  /// uploads counted once, the per-file eta denominators against the
+  /// scheme's split, and every cached copy of a peer's state against the
+  /// peer (docs/PROTOCOL.md). Draws no randomness: audited runs are
+  /// bit-identical. Compiling with -DBTMF_PARANOID forces this on.
+  bool paranoid = false;
 
   /// Telemetry sinks (all optional; see docs/OBSERVABILITY.md). The
   /// recorder samples chunk.downloaders / chunk.seeds / chunk.availability

@@ -7,7 +7,14 @@
 // torrent substrate: every multi-file branch (wanted-set sampling, visit
 // -order shuffles, torrent choice, CMFSD donation coins) is gated so it
 // consumes randomness only when a genuine multi-file choice exists. The
-// bit-identity test in tests/sim/chunk_sim_test.cpp pins this contract.
+// bit-identity tests in tests/sim/chunk_sim_test.cpp (K = 1) and
+// tests/sim/chunk_golden_test.cpp (K > 1) pin this contract.
+//
+// State is split by temperature. The interest scans, which dominate a
+// slot, read only flat arrays: a HotPeer row per peer id (cached accepts
+// mask, receive tokens, arena row) and the PieceArena's bitmap words.
+// Everything else about a peer lives in its cold Peer record, from which
+// the paranoid auditor re-derives every cached value.
 #include "btmf/sim/chunk_sim.h"
 
 #include <algorithm>
@@ -16,7 +23,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "btmf/math/stats.h"
@@ -29,61 +36,138 @@ namespace btmf::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Credit below this after a slot's decay is forgotten.
+constexpr double kCreditFloor = 0.01;
 
-/// Chunk bitfield over up to a few thousand chunks, in 64-bit words.
-class Bitfield {
+/// Every peer's piece bitmaps in one contiguous word arena. A row holds
+/// one peer's bitmap for each file (`words_` 64-bit words per file) and a
+/// held-chunk count per file; the rows of departed peers are zeroed and
+/// recycled, so the arena is as large as the peak live population.
+class PieceArena {
  public:
-  explicit Bitfield(unsigned bits)
-      : bits_(bits), words_((bits + 63) / 64, 0) {}
+  PieceArena(unsigned files, unsigned chunks)
+      : files_(files), chunks_(chunks), words_((chunks + 63) / 64) {}
 
-  void set(unsigned bit) {
-    words_[bit / 64] |= std::uint64_t{1} << (bit % 64);
-    ++count_;
-  }
-  void set_all() {
-    for (unsigned b = 0; b < bits_; ++b) {
-      words_[b / 64] |= std::uint64_t{1} << (b % 64);
+  /// A row with every bitmap empty.
+  [[nodiscard]] std::uint32_t acquire() {
+    if (!free_.empty()) {
+      const std::uint32_t row = free_.back();
+      free_.pop_back();
+      return row;
     }
-    count_ = bits_;
+    const std::uint32_t row = rows();
+    bits_.resize(bits_.size() + static_cast<std::size_t>(files_) * words_, 0);
+    held_.resize(held_.size() + files_, 0);
+    return row;
   }
-  [[nodiscard]] bool test(unsigned bit) const {
-    return (words_[bit / 64] >> (bit % 64)) & 1;
-  }
-  [[nodiscard]] unsigned count() const { return count_; }
-  [[nodiscard]] bool full() const { return count_ == bits_; }
 
-  /// True if `this` holds any chunk `other` lacks.
-  [[nodiscard]] bool has_something_for(const Bitfield& other) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (words_[w] & ~other.words_[w]) return true;
+  /// Returns a row to the free list, emptied.
+  void release(std::uint32_t row) {
+    std::fill_n(&bits_[offset(row, 0)],
+                static_cast<std::size_t>(files_) * words_, std::uint64_t{0});
+    std::fill_n(&held_[slot(row, 0)], files_, 0u);
+    free_.push_back(row);
+  }
+
+  /// Adds a chunk the row does not hold yet.
+  void set(std::uint32_t row, unsigned f, unsigned chunk) {
+    bits_[offset(row, f) + chunk / 64] |= std::uint64_t{1} << (chunk % 64);
+    ++held_[slot(row, f)];
+  }
+
+  /// Gives an empty file f of the row every chunk.
+  void fill(std::uint32_t row, unsigned f) {
+    for (unsigned c = 0; c < chunks_; ++c) set(row, f, c);
+  }
+
+  [[nodiscard]] unsigned held(std::uint32_t row, unsigned f) const {
+    return held_[slot(row, f)];
+  }
+  [[nodiscard]] bool full(std::uint32_t row, unsigned f) const {
+    return held(row, f) == chunks_;
+  }
+
+  /// True if row `u` holds any chunk of file f that row `v` lacks.
+  [[nodiscard]] bool offers(std::uint32_t u, std::uint32_t v,
+                            unsigned f) const {
+    const std::uint64_t* have = &bits_[offset(u, f)];
+    const std::uint64_t* other = &bits_[offset(v, f)];
+    for (unsigned w = 0; w < words_; ++w) {
+      if ((have[w] & ~other[w]) != 0) return true;
     }
     return false;
   }
 
-  /// Appends `base` + index for every chunk in `this` and not in `other`.
-  void append_missing_from(const Bitfield& other, unsigned base,
-                           std::vector<unsigned>& out) const {
-    for (unsigned b = 0; b < bits_; ++b) {
-      if (test(b) && !other.test(b)) out.push_back(base + b);
+  /// Appends f * C + c, ascending, for every chunk c of file f that row
+  /// `u` holds and row `v` lacks.
+  void append_missing(std::uint32_t u, std::uint32_t v, unsigned f,
+                      std::vector<unsigned>& out) const {
+    const std::uint64_t* have = &bits_[offset(u, f)];
+    const std::uint64_t* other = &bits_[offset(v, f)];
+    for (unsigned w = 0; w < words_; ++w) {
+      std::uint64_t m = have[w] & ~other[w];
+      while (m != 0) {
+        out.push_back(f * chunks_ + w * 64 +
+                      static_cast<unsigned>(std::countr_zero(m)));
+        m &= m - 1;
+      }
     }
+  }
+
+  /// Calls fn(c) for every chunk c of file f that row `row` holds.
+  template <typename Fn>
+  void for_each_held(std::uint32_t row, unsigned f, Fn&& fn) const {
+    const std::uint64_t* have = &bits_[offset(row, f)];
+    for (unsigned w = 0; w < words_; ++w) {
+      std::uint64_t m = have[w];
+      while (m != 0) {
+        fn(w * 64 + static_cast<unsigned>(std::countr_zero(m)));
+        m &= m - 1;
+      }
+    }
+  }
+
+  [[nodiscard]] std::uint32_t rows() const {
+    return static_cast<std::uint32_t>(held_.size() / files_);
   }
 
  private:
-  unsigned bits_;
-  unsigned count_ = 0;
-  std::vector<std::uint64_t> words_;
-};
-
-struct Peer {
-  Peer(unsigned files, unsigned chunks_per_file, std::uint32_t wanted_mask)
-      : wanted(wanted_mask), counted(wanted_mask) {
-    have.reserve(files);
-    for (unsigned f = 0; f < files; ++f) {
-      have.emplace_back((wanted_mask >> f) & 1u ? chunks_per_file : 0u);
-    }
+  /// Index of (row, file f) in held_; its bitmap starts at words_ times
+  /// that in bits_.
+  [[nodiscard]] std::size_t slot(std::uint32_t row, unsigned f) const {
+    return static_cast<std::size_t>(row) * files_ + f;
+  }
+  [[nodiscard]] std::size_t offset(std::uint32_t row, unsigned f) const {
+    return slot(row, f) * words_;
   }
 
-  std::vector<Bitfield> have;  ///< per-file piece bitmap (empty if unwanted)
+  unsigned files_;
+  unsigned chunks_;
+  unsigned words_;
+  std::vector<std::uint64_t> bits_;
+  std::vector<unsigned> held_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// One TFT ledger entry: decayed chunks recently received from `sender`.
+struct Credit {
+  std::size_t sender;
+  double amount;
+};
+
+/// The interest scans' view of a peer, indexed by peer id.
+struct HotPeer {
+  double tokens = kInf;       ///< receive tokens (1 token = 1 chunk)
+  std::uint32_t accepts = 0;  ///< cached accepts(peer), see run_chunk_sim
+  std::uint32_t row = 0;      ///< PieceArena row of its bitmaps
+};
+
+/// A peer's cold state. Peer ids (indices into the peer vector) are never
+/// reused, so a departed sender's ledger entries cannot alias a newcomer.
+struct Peer {
+  explicit Peer(std::uint32_t wanted_mask)
+      : wanted(wanted_mask), counted(wanted_mask) {}
+
   std::uint32_t wanted = 0;    ///< files this user downloads
   std::uint32_t done = 0;      ///< completed files
   /// Files whose held chunks are reflected in `avail` (i.e. still offered
@@ -101,12 +185,12 @@ struct Peer {
   double depart = kInf;        ///< final removal time, once known
   std::vector<std::uint8_t> order;       ///< sequential visit order
   std::vector<double> file_seed_depart;  ///< MTCD per-torrent deadlines
-  /// Decayed TFT credit: chunks recently received, by sender id.
-  std::unordered_map<std::size_t, double> credit;
+  /// TFT credit by sender, at most one entry each, none below
+  /// kCreditFloor after a slot's decay.
+  std::vector<Credit> ledger;
   // Bandwidth-class state (inert under the homogeneous default).
   std::uint8_t bclass = 0;     ///< index into config.bandwidth_classes
   double up_credit = 0.0;      ///< fractional upload turns banked
-  double down_credit = kInf;   ///< receive tokens (1 token = 1 chunk)
 };
 
 }  // namespace
@@ -158,6 +242,10 @@ void ChunkSimConfig::validate() const {
 
 ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
   config.validate();
+  bool paranoid = config.paranoid;
+#ifdef BTMF_PARANOID
+  paranoid = true;
+#endif
   const unsigned files = config.num_files;
   const unsigned chunks = config.num_chunks;
   const fluid::SchemeKind scheme = config.scheme;
@@ -188,7 +276,15 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
   }
 
   RandomStream rng(config.seed);
+  // Per peer id: cold record, hot view, TFT ranking mark.
   std::vector<Peer> peers;
+  std::vector<HotPeer> hot;
+  struct Mark {
+    std::uint64_t session = 0;
+    std::uint32_t pos = 0;
+  };
+  std::vector<Mark> marks;
+  PieceArena arena(files, chunks);
   std::vector<std::size_t> live;
   // Live copies per chunk, all files flattened: chunk c of file f is
   // avail[f * chunks + c]. Rarest-first reads these counts.
@@ -198,6 +294,9 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
 
   /// Which files `p` is actively downloading right now (0 for seeds, for
   /// MTSD peers in an inter-file seeding residence, and for nobody else).
+  /// The interest scans read the copy cached in HotPeer::accepts, which
+  /// the per-slot index build and on_file_complete refresh: between the
+  /// two, nothing else changes its inputs.
   const auto accepts = [&](const Peer& p) -> std::uint32_t {
     if (p.is_seed) return 0;
     switch (scheme) {
@@ -213,19 +312,26 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
   };
 
   /// Stops offering file `f`: its copies leave the availability census.
-  const auto withdraw = [&](Peer& p, unsigned f) {
+  const auto withdraw = [&](std::size_t id, unsigned f) {
+    Peer& p = peers[id];
     if (!((p.counted >> f) & 1u)) return;
-    const Bitfield& bf = p.have[f];
-    for (unsigned c = 0; c < chunks; ++c) {
-      if (bf.test(c)) --avail[static_cast<std::size_t>(f) * chunks + c];
-    }
+    unsigned* file_avail = &avail[static_cast<std::size_t>(f) * chunks];
+    arena.for_each_held(hot[id].row, f, [&](unsigned c) { --file_avail[c]; });
     p.counted &= ~file_bit(f);
+  };
+
+  const auto add_peer = [&](std::uint32_t wanted_mask) {
+    peers.emplace_back(wanted_mask);
+    hot.push_back({kInf, 0u, arena.acquire()});
+    marks.emplace_back();
+    live.push_back(peers.size() - 1);
+    return peers.size() - 1;
   };
 
   const auto spawn_peer = [&](std::uint32_t wanted_mask, double at,
                               bool sampled_flag) {
-    peers.emplace_back(files, chunks, wanted_mask);
-    Peer& p = peers.back();
+    const std::size_t id = add_peer(wanted_mask);
+    Peer& p = peers[id];
     p.arrival = at;
     p.stage_start = at;
     p.sampled = sampled_flag;
@@ -248,23 +354,21 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
         ++b;
       }
       p.bclass = static_cast<std::uint8_t>(b);
-      p.down_credit = class_bucket[b];
+      hot[id].tokens = class_bucket[b];
     }
     if (scheme == fluid::SchemeKind::kMtcd) {
       p.file_seed_depart.assign(files, kInf);
     }
-    live.push_back(peers.size() - 1);
   };
 
   // Publisher seeds.
   for (unsigned s = 0; s < config.initial_seeds; ++s) {
-    peers.emplace_back(files, chunks, full_mask);
-    Peer& p = peers.back();
-    for (unsigned f = 0; f < files; ++f) p.have[f].set_all();
+    const std::size_t id = add_peer(full_mask);
+    Peer& p = peers[id];
+    for (unsigned f = 0; f < files; ++f) arena.fill(hot[id].row, f);
     p.done = full_mask;
     p.is_seed = true;
     p.permanent = true;
-    live.push_back(peers.size() - 1);
     for (unsigned& a : avail) ++a;
   }
 
@@ -296,6 +400,11 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
   double sampled_files_sum = 0.0;
   double measured_slot_count = 0.0;
 
+  // What this slot did to the TFT ledgers, for the auditor.
+  double slot_credited = 0.0;    // chunks delivered, 1 credit each
+  double slot_cleared = 0.0;     // credit discarded by completion clears
+  std::size_t slot_dropped = 0;  // entries forgotten by the decay
+
   const auto finalize_user = [&](Peer& v, double total_download) {
     if (!v.sampled) return;
     download_time.add(total_download);
@@ -309,6 +418,14 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     sampled_files_sum += static_cast<double>(cls);
   };
 
+  // Peer records outlive their peers, so a cleared ledger also gives back
+  // its memory: the peer is a seed now, or idle until its next stage.
+  const auto clear_ledger = [&](Peer& v) {
+    for (const Credit& c : v.ledger) slot_cleared += c.amount;
+    v.ledger.clear();
+    v.ledger.shrink_to_fit();
+  };
+
   // Scratch vectors reused across slots.
   std::vector<std::size_t> order;
   std::vector<std::size_t> interested;
@@ -319,6 +436,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
   std::vector<unsigned> cand_files;
   std::vector<std::size_t> viable;
   std::vector<std::vector<std::size_t>> file_interest(files);
+  std::uint64_t session = 0;
 
   // Telemetry: cadence-sampled population series and batched slot spans.
   // Observation draws no randomness, so the result is identical with or
@@ -391,10 +509,224 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     return candidates[0];
   };
 
+  /// Tit-for-tat ranking: the candidate the uploader has most credit for,
+  /// ties to the earliest in `cand` (so the first strict maximum of a
+  /// walk over `cand`), or `fallback` when no candidate has any. Stamps
+  /// each candidate's position, then walks the uploader's short ledger
+  /// instead of probing it once per candidate.
+  const auto best_credited = [&](const Peer& u,
+                                 const std::vector<std::size_t>& cand,
+                                 std::size_t fallback) {
+    if (u.ledger.empty()) return fallback;
+    ++session;
+    for (std::size_t i = 0; i < cand.size(); ++i) {
+      marks[cand[i]] = {session, static_cast<std::uint32_t>(i)};
+    }
+    double best = 0.0;
+    std::size_t best_pos = cand.size();
+    for (const Credit& c : u.ledger) {
+      const Mark& m = marks[c.sender];
+      if (m.session != session) continue;
+      if (c.amount > best || (c.amount == best && m.pos < best_pos)) {
+        best = c.amount;
+        best_pos = m.pos;
+      }
+    }
+    return best_pos < cand.size() ? cand[best_pos] : fallback;
+  };
+
+  /// Ships chunk `chosen` from `uid` to `vid` and credits the uploader.
+  const auto deliver = [&](std::size_t uid, std::size_t vid,
+                           unsigned chosen) {
+    HotPeer& h = hot[vid];
+    arena.set(h.row, chosen / chunks, chosen % chunks);
+    ++avail[chosen];
+    std::vector<Credit>& ledger = peers[vid].ledger;
+    const auto it =
+        std::find_if(ledger.begin(), ledger.end(),
+                     [&](const Credit& c) { return c.sender == uid; });
+    if (it != ledger.end()) {
+      it->amount += 1.0;
+    } else {
+      ledger.push_back({uid, 1.0});
+    }
+    slot_credited += 1.0;
+    h.tokens -= 1.0;  // inf stays inf under the homogeneous default
+  };
+
+  // --- the paranoid auditor (ChunkSimConfig::paranoid) --------------------
+  // Runs after every slot's credit decay and throws AuditError at the
+  // first broken invariant. It draws no randomness, so an audited run is
+  // bit-identical to an unaudited one.
   double t = 0.0;
+  double ledger_total = 0.0;                  // every ledger, last audit
+  std::vector<double> audit_share(files, 0.0);  // file_share, re-derived
+  std::vector<unsigned> audit_avail;
+  std::vector<char> row_used;
+  std::vector<std::uint64_t> sender_seen;
+  std::uint64_t audit_stamp = 0;
+  struct AuditedPeer {
+    double tokens = 0.0;  // receive tokens
+    unsigned held = 0;    // chunks held, all files
+    bool seed = false;    // skips the next slot's token replenishment
+  };
+  std::vector<AuditedPeer> audited;  // by peer id, as of the last audit
+
+  /// The eta denominators' shadow: each active downloader's split under
+  /// the scheme (docs/PROTOCOL.md), from cold fields, in live order.
+  const auto audit_shares = [&]() {
+    for (const std::size_t id : live) {
+      const Peer& p = peers[id];
+      std::uint32_t active = accepts(p);
+      if (active == 0) continue;
+      double split = 1.0;  // MTSD, and CMFSD without donation: one file
+      if (scheme == fluid::SchemeKind::kMtcd) {
+        split = 1.0 / static_cast<double>(std::popcount(p.wanted));
+      } else if (scheme == fluid::SchemeKind::kMfcd) {
+        split = 1.0 / static_cast<double>(std::popcount(p.wanted & ~p.done));
+      } else if (scheme == fluid::SchemeKind::kCmfsd && config.rho < 1.0 &&
+                 (p.done & p.counted) != 0) {
+        split = config.rho;
+      }
+      while (active != 0) {
+        audit_share[static_cast<unsigned>(std::countr_zero(active))] += split;
+        active &= active - 1;
+      }
+    }
+  };
+
+  const auto audit = [&]() {
+    const auto fail = [&](const std::string& why) {
+      std::ostringstream os;
+      os << "chunk-sim paranoid audit failed at t = " << t << ": " << why;
+      throw AuditError(os.str());
+    };
+    const auto fail_peer = [&](std::size_t id, const char* why) {
+      fail("peer " + std::to_string(id) + " " + why);
+    };
+
+    // Cached mirrors (accepts masks, arena rows, receive tokens), and the
+    // availability census recounted from the offered bitmaps.
+    audit_avail.assign(avail.size(), 0u);
+    row_used.assign(arena.rows(), 0);
+    const std::size_t known = audited.size();
+    audited.resize(peers.size());
+    for (const std::size_t id : live) {
+      const Peer& p = peers[id];
+      const HotPeer& h = hot[id];
+      if (h.accepts != accepts(p)) fail_peer(id, "has a stale accepts mask");
+      if (h.row >= arena.rows() || row_used[h.row] != 0) {
+        fail_peer(id, "has an arena row out of range or shared");
+      }
+      row_used[h.row] = 1;
+      if ((p.counted & ~p.wanted) != 0 || (p.done & ~p.wanted) != 0) {
+        fail_peer(id, "offers or completed an unwanted file");
+      }
+      unsigned held_total = 0;
+      for (unsigned f = 0; f < files; ++f) {
+        const unsigned held = arena.held(h.row, f);
+        held_total += held;
+        const bool offered = ((p.counted >> f) & 1u) != 0;
+        unsigned* file_avail =
+            &audit_avail[static_cast<std::size_t>(f) * chunks];
+        unsigned bits = 0;
+        bool beyond = false;
+        arena.for_each_held(h.row, f, [&](unsigned c) {
+          ++bits;
+          if (c >= chunks) {
+            beyond = true;
+          } else if (offered) {
+            ++file_avail[c];
+          }
+        });
+        if (bits != held || beyond) {
+          fail_peer(id, "has a bitmap that disagrees with its held count");
+        }
+        if (!((p.wanted >> f) & 1u) && held != 0) {
+          fail_peer(id, "holds chunks of an unwanted file");
+        }
+        if (((p.done >> f) & 1u) != (held == chunks ? 1u : 0u)) {
+          fail_peer(id, "has a done mask that disagrees with its bitmaps");
+        }
+      }
+      // Receive tokens: the last audit's level, topped up by the class
+      // rate to its bucket unless the peer was seeding, less one per
+      // chunk its bitmaps gained (a newcomer starts with a full bucket).
+      double tokens = kInf;
+      if (have_classes && !p.permanent) {
+        const double bucket = class_bucket[p.bclass];
+        const bool fresh = id >= known;
+        tokens = fresh ? bucket : audited[id].tokens;
+        if (fresh || !audited[id].seed) {
+          tokens = std::min(tokens + class_tokens[p.bclass], bucket);
+        }
+        tokens -= static_cast<double>(held_total -
+                                      (fresh ? 0u : audited[id].held));
+      }
+      if (h.tokens != tokens) {
+        fail_peer(id, "has receive tokens its deliveries do not explain");
+      }
+      audited[id] = {h.tokens, held_total, p.is_seed};
+    }
+    if (audit_avail != avail) {
+      fail("availability census differs from the offered bitmaps");
+    }
+
+    // TFT credit: one entry per foreign sender, none below the floor, no
+    // credit held while not downloading, and the total moved only by
+    // this slot's deliveries, completion clears and decay.
+    sender_seen.resize(peers.size(), 0);
+    double total = 0.0;
+    for (const std::size_t id : live) {
+      const Peer& p = peers[id];
+      if (!p.ledger.empty() && hot[id].accepts == 0) {
+        fail_peer(id, "holds credit while not downloading");
+      }
+      ++audit_stamp;
+      for (const Credit& c : p.ledger) {
+        if (c.sender == id || c.sender >= peers.size()) {
+          fail_peer(id, "credits itself or an unknown sender");
+        }
+        if (sender_seen[c.sender] == audit_stamp) {
+          fail_peer(id, "has two ledger entries for one sender");
+        }
+        sender_seen[c.sender] = audit_stamp;
+        if (!(c.amount >= kCreditFloor)) {
+          fail_peer(id, "keeps credit below the floor");
+        }
+        total += c.amount;
+      }
+    }
+    const double before_decay = ledger_total + slot_credited - slot_cleared;
+    const double forgotten = config.credit_decay * before_decay - total;
+    const double tol = 1e-9 * std::max(1.0, before_decay);
+    if (forgotten < -tol ||
+        forgotten > kCreditFloor * static_cast<double>(slot_dropped) + tol) {
+      fail("TFT credit total is not conserved");
+    }
+    ledger_total = total;
+
+    // Donated uploads are a subset of the seed uploads, CMFSD only.
+    if (donated_uploads > seed_uploads ||
+        (scheme != fluid::SchemeKind::kCmfsd && donated_uploads != 0.0)) {
+      fail("donated uploads double-counted or outside CMFSD");
+    }
+
+    // The eta denominators match the scheme's split.
+    for (unsigned f = 0; f < files; ++f) {
+      if (audit_share[f] != file_share[f]) {
+        fail("file " + std::to_string(f + 1) +
+             " eta denominator differs from the scheme's split");
+      }
+    }
+  };
+
   while (t < config.horizon) {
     const bool measured = t >= config.warmup;
     slots_total += 1.0;
+    slot_credited = 0.0;
+    slot_cleared = 0.0;
+    slot_dropped = 0;
     if (sink.trace != nullptr) {
       if (!slot_span.has_value()) {
         slot_span.emplace(sink.trace->span("chunk.slots"));
@@ -456,10 +788,11 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     // Replenish the receive buckets at the top of the slot.
     if (have_classes) {
       for (const std::size_t vid : live) {
-        Peer& v = peers[vid];
+        const Peer& v = peers[vid];
         if (v.is_seed) continue;
-        v.down_credit = std::min(v.down_credit + class_tokens[v.bclass],
-                                 class_bucket[v.bclass]);
+        HotPeer& h = hot[vid];
+        h.tokens = std::min(h.tokens + class_tokens[v.bclass],
+                            class_bucket[v.bclass]);
       }
     }
     // Draw the Poisson count via inter-arrival exponentials.
@@ -487,18 +820,19 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
 
     // --- departures, per-torrent seeding expiries, MTSD stage advance ----
     for (std::size_t li = 0; li < live.size();) {
-      Peer& p = peers[live[li]];
+      const std::size_t id = live[li];
+      Peer& p = peers[id];
       if (!p.permanent) {
         if (scheme == fluid::SchemeKind::kMtcd) {
           std::uint32_t pending = p.done & p.counted;
           while (pending != 0) {
             const unsigned f = static_cast<unsigned>(std::countr_zero(pending));
             pending &= pending - 1;
-            if (p.file_seed_depart[f] <= t) withdraw(p, f);
+            if (p.file_seed_depart[f] <= t) withdraw(id, f);
           }
         } else if (scheme == fluid::SchemeKind::kMtsd && p.seeding_phase &&
                    p.seed_until <= t) {
-          withdraw(p, p.order[p.stage]);
+          withdraw(id, p.order[p.stage]);
           ++p.stage;
           p.seeding_phase = false;
           p.stage_start = t;
@@ -508,10 +842,9 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           while (rest != 0) {
             const unsigned f = static_cast<unsigned>(std::countr_zero(rest));
             rest &= rest - 1;
-            withdraw(p, f);
+            withdraw(id, f);
           }
-          p.have.clear();
-          p.have.shrink_to_fit();
+          arena.release(hot[id].row);
           live[li] = live.back();
           live.pop_back();
           continue;
@@ -526,11 +859,12 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     // split as a protocol mechanic — a class-i peer draws each torrent's
     // service a 1/i fraction of the time, so its per-file time scales
     // like the fluid's iA. Single-torrent peers (and every peer at K = 1)
-    // draw nothing.
+    // draw nothing. The pass also refreshes every live accepts mask.
     down_all.clear();
     for (auto& list : down_by_file) list.clear();
     for (const std::size_t vid : live) {
       std::uint32_t m = accepts(peers[vid]);
+      hot[vid].accepts = m;
       if (m == 0) continue;
       down_all.push_back(vid);
       if (scheme == fluid::SchemeKind::kMtcd && (m & (m - 1)) != 0) {
@@ -554,7 +888,8 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
                     slot_dt);
       measured_slot_count += 1.0;
       for (const std::size_t vid : down_all) {
-        std::uint32_t m = accepts(peers[vid]);
+        const Peer& v = peers[vid];
+        std::uint32_t m = hot[vid].accepts;
         // Per-file TFT bandwidth share this downloader points at file f
         // (the eta denominator — docs/PROTOCOL.md). MTCD splits over the
         // *class* (all wanted torrents, the fluid's 1/i; completed ones
@@ -564,10 +899,9 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
         // merged/sequential schemes split over what is active.
         double share;
         if (scheme == fluid::SchemeKind::kMtcd) {
-          share = 1.0 / static_cast<double>(std::popcount(peers[vid].wanted));
+          share = 1.0 / static_cast<double>(std::popcount(v.wanted));
         } else if (scheme == fluid::SchemeKind::kCmfsd &&
-                   (peers[vid].done & peers[vid].counted) != 0 &&
-                   config.rho < 1.0) {
+                   (v.done & v.counted) != 0 && config.rho < 1.0) {
           share = config.rho;
         } else {
           share = 1.0 / static_cast<double>(std::popcount(m));
@@ -586,10 +920,12 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           m &= m - 1;
         }
       }
+      if (paranoid) audit_shares();
     }
 
     // --- file completion (shared tail of every delivery) ------------------
-    const auto on_file_complete = [&](Peer& v, unsigned f) {
+    const auto on_file_complete = [&](std::size_t vid, unsigned f) {
+      Peer& v = peers[vid];
       v.done |= file_bit(f);
       const bool concurrent_start = scheme == fluid::SchemeKind::kMtcd ||
                                     scheme == fluid::SchemeKind::kMfcd;
@@ -612,7 +948,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
               depart = std::max(depart, v.file_seed_depart[g]);
             }
             v.depart = depart;
-            v.credit.clear();
+            clear_ledger(v);
             finalize_user(v, t + slot_dt - v.arrival);
           }
           break;
@@ -622,12 +958,12 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           if (last) {
             v.is_seed = true;
             v.depart = t + rng.exponential(config.fluid.gamma);
-            v.credit.clear();
+            clear_ledger(v);
             finalize_user(v, v.download_accum);
           } else {
             v.seeding_phase = true;
             v.seed_until = t + rng.exponential(config.fluid.gamma);
-            v.credit.clear();
+            clear_ledger(v);
           }
           break;
         }
@@ -635,7 +971,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           if (last) {
             v.is_seed = true;
             v.depart = t + rng.exponential(config.fluid.gamma);
-            v.credit.clear();
+            clear_ledger(v);
             finalize_user(v, t + slot_dt - v.arrival);
           }
           break;
@@ -644,7 +980,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           if (last) {
             v.is_seed = true;
             v.depart = t + rng.exponential(config.fluid.gamma);
-            v.credit.clear();
+            clear_ledger(v);
             finalize_user(v, t + slot_dt - v.arrival);
           } else {
             ++v.stage;
@@ -653,6 +989,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           break;
         }
       }
+      hot[vid].accepts = accepts(v);
     };
 
     // --- one upload session: pick a receiver among `scan`, then a chunk --
@@ -660,20 +997,21 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     // `altruistic` sessions (seeds, MTSD inter-file seeding, CMFSD
     // donations) serve a random interested peer, TFT sessions reciprocate
     // the best recent uploader except on optimistic unchokes.
-    const auto run_session = [&](Peer& u, std::size_t uid,
+    const auto run_session = [&](std::size_t uid,
                                  const std::vector<std::size_t>& scan,
                                  std::uint32_t allowed, bool altruistic,
                                  bool donation) {
+      const std::uint32_t urow = hot[uid].row;
       interested.clear();
       for (const std::size_t vid : scan) {
         if (vid == uid) continue;
-        Peer& v = peers[vid];
-        if (v.down_credit < 1.0) continue;  // receive bucket empty
-        std::uint32_t fs = accepts(v) & allowed;
+        const HotPeer& v = hot[vid];
+        if (v.tokens < 1.0) continue;  // receive bucket empty
+        std::uint32_t fs = v.accepts & allowed;
         while (fs != 0) {
           const unsigned f = static_cast<unsigned>(std::countr_zero(fs));
           fs &= fs - 1;
-          if (u.have[f].has_something_for(v.have[f])) {
+          if (arena.offers(urow, v.row, f)) {
             interested.push_back(vid);
             break;
           }
@@ -688,53 +1026,41 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
       std::size_t receiver = interested[rng.index(interested.size())];
       if (!altruistic && !(config.optimistic_prob > 0.0 &&
                            rng.uniform() < config.optimistic_prob)) {
-        double best_credit = 0.0;
-        for (const std::size_t vid : interested) {
-          const auto it = u.credit.find(vid);
-          const double credit = it != u.credit.end() ? it->second : 0.0;
-          if (credit > best_credit) {
-            best_credit = credit;
-            receiver = vid;
-          }
-        }
-        // best_credit == 0 keeps the random (optimistic) choice.
+        receiver = best_credited(peers[uid], interested, receiver);
       }
 
-      Peer& v = peers[receiver];
       candidates.clear();
-      std::uint32_t fs = accepts(v) & allowed;
+      std::uint32_t fs = hot[receiver].accepts & allowed;
       while (fs != 0) {
         const unsigned f = static_cast<unsigned>(std::countr_zero(fs));
         fs &= fs - 1;
-        u.have[f].append_missing_from(v.have[f], f * chunks, candidates);
+        arena.append_missing(urow, hot[receiver].row, f, candidates);
       }
       BTMF_ASSERT(!candidates.empty());
       const unsigned chosen = pick_chunk();
       const unsigned cf = chosen / chunks;
 
-      v.have[cf].set(chosen % chunks);
-      ++avail[chosen];
-      v.credit[uid] += 1.0;
-      v.down_credit -= 1.0;  // inf stays inf under the homogeneous default
+      deliver(uid, receiver, chosen);
       if (measured) {
         (altruistic ? seed_uploads : downloader_uploads) += 1.0;
         if (!altruistic) file_tft_uploads[cf] += 1.0;
         if (donation) donated_uploads += 1.0;
       }
-      if (v.have[cf].full()) on_file_complete(v, cf);
+      if (arena.full(hot[receiver].row, cf)) on_file_complete(receiver, cf);
     };
 
     // --- the TFT download-side session for the separate-torrent schemes:
     // one mu split uniformly across the uploader's active torrents that
     // have an interested peer (no draw when only one qualifies).
-    const auto run_download_session = [&](Peer& u, std::size_t uid,
+    const auto run_download_session = [&](std::size_t uid,
                                           std::uint32_t active) {
+      const std::uint32_t urow = hot[uid].row;
       cand_files.clear();
       std::uint32_t m = active;
       while (m != 0) {
         const unsigned f = static_cast<unsigned>(std::countr_zero(m));
         m &= m - 1;
-        if (u.have[f].count() > 0) cand_files.push_back(f);
+        if (arena.held(urow, f) > 0) cand_files.push_back(f);
       }
       if (cand_files.empty()) return;  // nothing to offer yet: no session
       viable.clear();
@@ -744,10 +1070,10 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
         list.clear();
         for (const std::size_t vid : down_by_file[f]) {
           if (vid == uid) continue;
-          Peer& v = peers[vid];
-          if (v.down_credit < 1.0) continue;  // receive bucket empty
-          if (((accepts(v) >> f) & 1u) == 0) continue;
-          if (u.have[f].has_something_for(v.have[f])) list.push_back(vid);
+          const HotPeer& v = hot[vid];
+          if (v.tokens < 1.0) continue;  // receive bucket empty
+          if (((v.accepts >> f) & 1u) == 0) continue;
+          if (arena.offers(urow, v.row, f)) list.push_back(vid);
         }
         if (!list.empty()) viable.push_back(ci);
       }
@@ -764,32 +1090,20 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
       std::size_t receiver = list[rng.index(list.size())];
       if (!(config.optimistic_prob > 0.0 &&
             rng.uniform() < config.optimistic_prob)) {
-        double best_credit = 0.0;
-        for (const std::size_t vid : list) {
-          const auto it = u.credit.find(vid);
-          const double credit = it != u.credit.end() ? it->second : 0.0;
-          if (credit > best_credit) {
-            best_credit = credit;
-            receiver = vid;
-          }
-        }
+        receiver = best_credited(peers[uid], list, receiver);
       }
 
-      Peer& v = peers[receiver];
       candidates.clear();
-      u.have[f].append_missing_from(v.have[f], f * chunks, candidates);
+      arena.append_missing(urow, hot[receiver].row, f, candidates);
       BTMF_ASSERT(!candidates.empty());
       const unsigned chosen = pick_chunk();
 
-      v.have[f].set(chosen % chunks);
-      ++avail[chosen];
-      v.credit[uid] += 1.0;
-      v.down_credit -= 1.0;
+      deliver(uid, receiver, chosen);
       if (measured) {
         downloader_uploads += 1.0;
         file_tft_uploads[f] += 1.0;
       }
-      if (v.have[f].full()) on_file_complete(v, f);
+      if (arena.full(hot[receiver].row, f)) on_file_complete(receiver, f);
     };
 
     // --- uploads: every peer with data ships one chunk per session --------
@@ -797,6 +1111,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     rng.shuffle(order);
     for (const std::size_t uid : order) {
       Peer& u = peers[uid];
+      const std::uint32_t urow = hot[uid].row;
       // A class-b peer banks upload_scale_b turns per slot and spends the
       // whole ones; publisher seeds (and every peer under the homogeneous
       // default) take exactly one turn — no extra draws, bit-identical.
@@ -826,10 +1141,10 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           const unsigned f = static_cast<unsigned>(std::countr_zero(m));
           const std::uint32_t fb = file_bit(f);
           if ((u.done & u.counted & fb) != 0) {
-            run_session(u, uid, down_by_file[f], fb,
+            run_session(uid, down_by_file[f], fb,
                         /*altruistic=*/true, /*donation=*/false);
-          } else if ((accepts(u) & fb) != 0) {
-            run_download_session(u, uid, fb);
+          } else if ((hot[uid].accepts & fb) != 0) {
+            run_download_session(uid, fb);
           }
           break;
         }
@@ -841,18 +1156,18 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           while (seeding != 0) {
             const unsigned f = static_cast<unsigned>(std::countr_zero(seeding));
             seeding &= seeding - 1;
-            run_session(u, uid, down_by_file[f], file_bit(f),
+            run_session(uid, down_by_file[f], file_bit(f),
                         /*altruistic=*/true, /*donation=*/false);
           }
-          const std::uint32_t active = accepts(u);
-          if (active != 0) run_download_session(u, uid, active);
+          const std::uint32_t active = hot[uid].accepts;
+          if (active != 0) run_download_session(uid, active);
           break;
         }
         case fluid::SchemeKind::kMfcd: {
           // One merged swarm: a single session offers every held chunk.
           if (u.is_seed) {
             if ((u.wanted & u.counted) != 0) {
-              run_session(u, uid, down_all, u.wanted & u.counted,
+              run_session(uid, down_all, u.wanted & u.counted,
                           /*altruistic=*/true, /*donation=*/false);
             }
             break;
@@ -862,10 +1177,10 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           while (m != 0) {
             const unsigned f = static_cast<unsigned>(std::countr_zero(m));
             m &= m - 1;
-            if (u.have[f].count() > 0) offer |= file_bit(f);
+            if (arena.held(urow, f) > 0) offer |= file_bit(f);
           }
           if (offer != 0) {
-            run_session(u, uid, down_all, offer, /*altruistic=*/false,
+            run_session(uid, down_all, offer, /*altruistic=*/false,
                         /*donation=*/false);
           }
           break;
@@ -873,7 +1188,7 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
         case fluid::SchemeKind::kCmfsd: {
           if (u.is_seed) {
             if ((u.wanted & u.counted) != 0) {
-              run_session(u, uid, down_all, u.wanted & u.counted,
+              run_session(uid, down_all, u.wanted & u.counted,
                           /*altruistic=*/true, /*donation=*/false);
             }
             break;
@@ -884,13 +1199,13 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
           const std::uint32_t donate_mask = u.done & u.counted;
           if (donate_mask != 0 && config.rho < 1.0 &&
               rng.uniform() < 1.0 - config.rho) {
-            run_session(u, uid, down_all, donate_mask, /*altruistic=*/true,
+            run_session(uid, down_all, donate_mask, /*altruistic=*/true,
                         /*donation=*/true);
             break;
           }
           const unsigned cur = u.order[u.stage];
-          if (u.have[cur].count() > 0) {
-            run_session(u, uid, down_by_file[cur], file_bit(cur),
+          if (arena.held(urow, cur) > 0) {
+            run_session(uid, down_by_file[cur], file_bit(cur),
                         /*altruistic=*/false, /*donation=*/false);
           }
           break;
@@ -902,13 +1217,17 @@ ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
     // --- TFT credit decay --------------------------------------------------
     for (const std::size_t id : live) {
       Peer& p = peers[id];
-      if (p.is_seed || p.credit.empty()) continue;
-      for (auto it = p.credit.begin(); it != p.credit.end();) {
-        it->second *= config.credit_decay;
-        it = it->second < 0.01 ? p.credit.erase(it) : std::next(it);
+      if (p.is_seed || p.ledger.empty()) continue;
+      std::size_t kept = 0;
+      for (const Credit& c : p.ledger) {
+        const double amount = c.amount * config.credit_decay;
+        if (amount >= kCreditFloor) p.ledger[kept++] = {c.sender, amount};
       }
+      slot_dropped += p.ledger.size() - kept;
+      p.ledger.resize(kept);
     }
 
+    if (paranoid) audit();
     t += slot_dt;
   }
   if (slot_span.has_value()) {

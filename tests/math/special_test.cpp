@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "btmf/util/error.h"
 
@@ -72,6 +74,35 @@ TEST(BinomialPmfTest, InvalidPThrows) {
 TEST(LogBinomialTest, ConsistentWithLinearScale) {
   EXPECT_NEAR(std::exp(log_binomial_coefficient(30, 15)),
               binomial_coefficient(30, 15), 1e-3);
+}
+
+TEST(LogBinomialTest, BitIdenticalToTheLgammaFormula) {
+  for (unsigned n = 0; n <= 64; ++n) {
+    for (unsigned k = 0; k <= n; ++k) {
+      const double lgamma_form = std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
+                                 std::lgamma(n - k + 1.0);
+      EXPECT_EQ(log_binomial_coefficient(n, k), lgamma_form)
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(BinomialPmfTest, ConcurrentCallsAgreeWithSerialOnes) {
+  // Sweep and serve workers evaluate fluid models concurrently; the
+  // pmf must not touch shared state (std::lgamma writes `signgam`).
+  constexpr unsigned kN = 40;
+  const std::vector<double> serial = binomial_pmf_vector(kN, 0.3);
+  std::vector<std::vector<double>> seen(4);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < seen.size(); ++w) {
+    workers.emplace_back([&seen, w] {
+      for (int round = 0; round < 200; ++round) {
+        seen[w] = binomial_pmf_vector(kN, 0.3);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const std::vector<double>& pmf : seen) EXPECT_EQ(pmf, serial);
 }
 
 }  // namespace
