@@ -1,6 +1,6 @@
 // Throughput/latency gate for the btmf::serve evaluation daemon.
 //
-// Two phases, each against a live daemon over a unix socket:
+// Three phases, each against a live daemon over a unix socket:
 //
 //  * warm — populate `unique` distinct scenarios once, then hammer the
 //    daemon from `clients` concurrent connections for `rounds` rounds of
@@ -13,6 +13,14 @@
 //    scenario at once. The gate is exact: backend evaluations == rounds,
 //    i.e. N identical concurrent requests cost one computation, however
 //    many clients pile on.
+//
+//  * saturate — a daemon with one worker per core and no cache, every
+//    client sending `saturate` distinct stochastic-epidemic specs (MTCD
+//    with 250 and MTSD with 600 replications, 2:1), so every worker
+//    evaluates at once: the traffic in which concurrent replication
+//    fan-outs compete for the cores (docs/SCALE.md). Reports
+//    evaluations/s and p50/p99 latency; ungated beyond failing on any
+//    errored request.
 //
 // `--json` records the measurement for the committed BENCH_serve.json
 // baseline.
@@ -182,6 +190,74 @@ CoalesceResult run_coalesce(const std::string& dir, std::size_t clients,
   return result;
 }
 
+struct SaturateResult {
+  std::size_t requests = 0;
+  std::size_t errors = 0;
+  double evals_per_s = 0.0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
+model::ScenarioSpec epidemic_spec(std::size_t id) {
+  model::ScenarioSpec spec;
+  const bool sequential = id % 3 == 1;
+  spec.scheme =
+      sequential ? fluid::SchemeKind::kMtsd : fluid::SchemeKind::kMtcd;
+  spec.epidemic_replications = sequential ? 600 : 250;
+  spec.correlation =
+      0.65 + 0.1 * static_cast<double>(id * 37 % 100) / 100.0;
+  spec.seed = 2'000'000 + id;
+  return spec;
+}
+
+SaturateResult run_saturate(const std::string& dir, std::size_t clients,
+                            std::size_t per_client) {
+  serve::DaemonOptions options;
+  options.endpoint =
+      serve::Endpoint::parse("unix:" + dir + "/saturate.sock");
+  options.workers = 0;  // one per core
+  serve::Daemon daemon(std::move(options));
+  daemon.start();
+
+  std::vector<std::vector<double>> latencies_ms(clients);
+  std::atomic<std::size_t> errors{0};
+  util::Stopwatch timer;
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (std::size_t c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        serve::Client client = serve::Client::connect(daemon.endpoint());
+        for (std::size_t j = 0; j < per_client; ++j) {
+          const Clock::time_point begin = Clock::now();
+          const serve::EvalReply reply = client.evaluate(
+              "stochastic-epidemic", epidemic_spec(c * per_client + j));
+          latencies_ms[c].push_back(
+              std::chrono::duration<double, std::milli>(Clock::now() - begin)
+                  .count());
+          if (!reply.ok) errors.fetch_add(1);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  const double wall = timer.seconds();
+  daemon.drain();
+
+  SaturateResult result;
+  result.requests = clients * per_client;
+  result.errors = errors.load();
+  result.evals_per_s =
+      wall > 0.0 ? static_cast<double>(result.requests) / wall : 0.0;
+  std::vector<double> all_ms;
+  for (const auto& mine : latencies_ms)
+    all_ms.insert(all_ms.end(), mine.begin(), mine.end());
+  std::sort(all_ms.begin(), all_ms.end());
+  result.p50_ms = quantile_ms(all_ms, 0.50);
+  result.p99_ms = quantile_ms(all_ms, 0.99);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,6 +272,9 @@ int main(int argc, char** argv) {
   parser.add_option("scratch", ".perf-serve",
                     "scratch directory (recreated each run)");
   parser.add_option("json", "", "also dump the measurement as JSON here");
+  parser.add_option("saturate", "4",
+                    "distinct stochastic-epidemic requests per client in "
+                    "the saturation phase");
   if (!parser.parse(argc, argv)) return 0;
   if (!serve::serve_supported()) {
     std::fprintf(stderr, "SKIP: POSIX sockets unavailable\n");
@@ -212,6 +291,8 @@ int main(int argc, char** argv) {
 
   const WarmResult warm = run_warm(scratch, clients, rounds, unique);
   const CoalesceResult coalesce = run_coalesce(scratch, clients, rounds);
+  const SaturateResult saturate = run_saturate(
+      scratch, clients, static_cast<std::size_t>(parser.get_int("saturate")));
 
   util::Table table({"phase", "requests", "qps", "p50 ms", "p99 ms",
                      "backend evals", "coalesced+hits"});
@@ -223,7 +304,12 @@ int main(int argc, char** argv) {
                  0.0, 0.0, static_cast<double>(coalesce.backend_evals),
                  static_cast<double>(coalesce.coalesced +
                                      coalesce.cache_hits)});
-  bench::emit(table, "Serve daemon (warm-cache + duplicate-heavy load)",
+  table.add_row({"saturate", static_cast<double>(saturate.requests),
+                 saturate.evals_per_s, saturate.p50_ms, saturate.p99_ms,
+                 static_cast<double>(saturate.requests), 0.0});
+  bench::emit(table,
+              "Serve daemon (warm-cache, duplicate-heavy and saturating "
+              "epidemic load)",
               parser.get("csv"));
 
   const std::string json_path = parser.get("json");
@@ -260,6 +346,11 @@ int main(int argc, char** argv) {
   if (warm.qps < min_qps) {
     std::fprintf(stderr, "FAIL: warm qps %.0f below floor %.0f\n", warm.qps,
                  min_qps);
+    pass = false;
+  }
+  if (saturate.errors != 0) {
+    std::fprintf(stderr, "FAIL: %zu saturation requests errored\n",
+                 saturate.errors);
     pass = false;
   }
   if (coalesce.errors != 0) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "btmf/fluid/demand.h"
@@ -82,6 +83,40 @@ TEST(EpidemicBackendTest, RefusesCmfsdAndBandwidthClasses) {
   const Outcome refused = epidemic().evaluate(classy);
   EXPECT_EQ(refused.status, OutcomeStatus::kUnsupported);
   EXPECT_NE(refused.error.find("bandwidth"), std::string::npos);
+}
+
+TEST(EpidemicBackendTest, UnsampledClassIsNaNNotZero) {
+  // A class with a positive rate but no downloader in [warmup, horizon]
+  // in any replication has no measured time. It used to read download 0
+  // and online 1/gamma, and the zeros pulled the averages down.
+  const auto expect_unsampled = [](double correlation, std::uint64_t seed,
+                                   std::size_t first, std::size_t last) {
+    ScenarioSpec spec;  // default K = 10, 8 replications
+    spec.correlation = correlation;
+    spec.scheme = fluid::SchemeKind::kMtcd;
+    spec.seed = seed;
+    const Outcome o = epidemic().evaluate(spec);
+    ASSERT_TRUE(o.ok()) << o.error;
+    double numerator = 0.0;
+    double denominator = 0.0;
+    for (std::size_t i = 0; i < 10; ++i) {
+      SCOPED_TRACE("class " + std::to_string(i + 1));
+      ASSERT_GT(o.class_entry_rates[i], 0.0);
+      if (i + 1 >= first && i + 1 <= last) {
+        EXPECT_TRUE(std::isnan(o.per_class.download_time[i]));
+        EXPECT_TRUE(std::isnan(o.per_class.online_time[i]));
+        continue;
+      }
+      EXPECT_GT(o.per_class.download_time[i], 0.0);
+      EXPECT_TRUE(std::isfinite(o.per_class.online_time[i]));
+      numerator += o.class_entry_rates[i] * o.per_class.download_time[i];
+      denominator += o.class_entry_rates[i] * static_cast<double>(i + 1);
+    }
+    // The averages are over the sampled classes only.
+    EXPECT_DOUBLE_EQ(o.avg_download_per_file, numerator / denominator);
+  };
+  expect_unsampled(0.7, 2, 1, 1);   // class 1 at rate ~1e-4
+  expect_unsampled(0.1, 7, 7, 10);   // the four rarest classes
 }
 
 TEST(EpidemicBackendTest, AcceptsTimeVaryingArrivals) {
