@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 
 int main(int argc, char** argv) {
   using namespace btmf;
@@ -20,19 +20,16 @@ int main(int argc, char** argv) {
   parser.add_option("p", "0.9", "file correlation");
   if (!parser.parse(argc, argv)) return 0;
 
-  const unsigned k = static_cast<unsigned>(parser.get_int("k"));
-  const double p = parser.get_double("p");
-
+  // CMFSD runs at the spec's default rho = 0.
+  model::ScenarioSpec scenario;
+  scenario.num_files = parser.get_count("k");
+  scenario.correlation = parser.get_double("p");
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
   const auto evaluate = [&](const fluid::FluidParams& params,
-                            fluid::SchemeKind scheme, double rho) {
-    core::ScenarioConfig scenario;
-    scenario.num_files = k;
-    scenario.correlation = p;
+                            fluid::SchemeKind scheme) {
     scenario.fluid = params;
-    core::EvaluateOptions options;
-    options.rho = rho;
-    return core::evaluate_scheme(scenario, scheme, options)
-        .avg_online_per_file;
+    scenario.scheme = scheme;
+    return backend.evaluate_or_throw(scenario).avg_online_per_file;
   };
 
   // ---- eta sweep -------------------------------------------------------
@@ -42,9 +39,9 @@ int main(int argc, char** argv) {
   for (const double eta : {0.1, 0.25, 0.5, 0.75, 1.0}) {
     fluid::FluidParams params = fluid::kPaperParams;
     params.eta = eta;
-    const double mtsd = evaluate(params, fluid::SchemeKind::kMtsd, 0.0);
-    const double mtcd = evaluate(params, fluid::SchemeKind::kMtcd, 0.0);
-    const double cmfsd = evaluate(params, fluid::SchemeKind::kCmfsd, 0.0);
+    const double mtsd = evaluate(params, fluid::SchemeKind::kMtsd);
+    const double mtcd = evaluate(params, fluid::SchemeKind::kMtcd);
+    const double cmfsd = evaluate(params, fluid::SchemeKind::kCmfsd);
     eta_table.add_row(
         {eta, mtsd, mtcd, cmfsd, mtcd / mtsd, cmfsd / mtsd});
   }
@@ -59,9 +56,9 @@ int main(int argc, char** argv) {
   for (const double ratio : {1.25, 1.5, 2.0, 2.5, 4.0, 8.0}) {
     fluid::FluidParams params = fluid::kPaperParams;
     params.gamma = params.mu * ratio;
-    const double mtsd = evaluate(params, fluid::SchemeKind::kMtsd, 0.0);
-    const double mtcd = evaluate(params, fluid::SchemeKind::kMtcd, 0.0);
-    const double cmfsd = evaluate(params, fluid::SchemeKind::kCmfsd, 0.0);
+    const double mtsd = evaluate(params, fluid::SchemeKind::kMtsd);
+    const double mtcd = evaluate(params, fluid::SchemeKind::kMtcd);
+    const double cmfsd = evaluate(params, fluid::SchemeKind::kCmfsd);
     gamma_table.add_row(
         {ratio, mtsd, mtcd, cmfsd, mtcd / mtsd, cmfsd / mtsd});
   }

@@ -4,7 +4,7 @@
 // (src/sweep/src/reproduce.cpp) — and each bench binary is a thin wrapper
 // that runs its registered figure, prints the data tables, and reports
 // the claim checks. Custom grids (other K, other step counts) are served
-// by `btmf_tool sweep` and the core::fig*_table functions.
+// by `btmf_tool sweep`.
 #pragma once
 
 #include <iostream>

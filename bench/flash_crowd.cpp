@@ -14,7 +14,6 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "btmf/core/evaluate.h"
 #include "btmf/fluid/cmfsd.h"
 #include "btmf/fluid/correlation.h"
 #include "btmf/fluid/demand.h"

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/sim/simulator.h"
 
 namespace {
@@ -50,15 +50,15 @@ int main(int argc, char** argv) {
                      "sim stderr", "sim/fluid", "censored frac"});
   table.set_precision(4);
 
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
   for (const Row& row : rows) {
-    core::ScenarioConfig scenario;
-    scenario.num_files = static_cast<unsigned>(parser.get_int("k"));
+    model::ScenarioSpec scenario;
+    scenario.num_files = parser.get_count("k");
     scenario.correlation = row.p;
     scenario.visit_rate = parser.get_double("lambda0");
-    core::EvaluateOptions options;
-    options.rho = row.rho;
-    const core::SchemeReport fluid_report =
-        core::evaluate_scheme(scenario, row.scheme, options);
+    scenario.scheme = row.scheme;
+    scenario.rho = row.rho;
+    const model::Outcome fluid_report = backend.evaluate_or_throw(scenario);
 
     sim::SimConfig config;
     config.scheme = row.scheme;

@@ -19,11 +19,9 @@
 namespace {
 
 btmf::sim::SimResult run(double cheaters, const btmf::util::ArgParser& args) {
-  const long long k = args.get_int("k");
-  if (k < 1) throw btmf::ConfigError("--k must be >= 1");
   btmf::sim::SimConfig config;
   config.scheme = btmf::fluid::SchemeKind::kCmfsd;
-  config.num_files = static_cast<unsigned>(k);
+  config.num_files = args.get_count("k");
   config.correlation = args.get_double("p");
   config.visit_rate = 1.0;
   config.horizon = args.get_double("horizon");

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "btmf/core/version.h"
 #include "btmf/fluid/adapt_fluid.h"
 #include "btmf/model/backend.h"
 #include "btmf/obs/sink.h"
@@ -39,6 +38,7 @@
 #include "btmf/util/error.h"
 #include "btmf/util/strings.h"
 #include "btmf/util/table.h"
+#include "btmf/util/version.h"
 
 namespace {
 
@@ -46,17 +46,6 @@ using namespace btmf;
 
 void require(bool ok, const std::string& msg) {
   if (!ok) throw ConfigError(msg);
-}
-
-/// Reads an integral option that denotes a count. The range check runs on
-/// the raw int: casting a negative value first would wrap it to a huge
-/// unsigned that sails past every downstream `>= 1` validation.
-unsigned positive_count(const util::ArgParser& parser,
-                        const std::string& name) {
-  const long long raw = parser.get_int(name);
-  require(raw >= 1, "--" + name + " must be >= 1 (got " +
-                        std::to_string(raw) + ")");
-  return static_cast<unsigned>(raw);
 }
 
 /// The shared spec options of evaluate / simulate / sweep. `backend_default`
@@ -93,7 +82,7 @@ void add_spec_options(util::ArgParser& parser,
 /// The one spec-from-CLI builder shared by evaluate / simulate / sweep.
 model::ScenarioSpec spec_from_cli(const util::ArgParser& parser) {
   model::ScenarioSpec spec;
-  spec.num_files = positive_count(parser, "k");
+  spec.num_files = parser.get_count("k");
   spec.correlation = parser.get_double("p");
   spec.visit_rate = parser.get_double("lambda0");
   spec.fluid.mu = parser.get_double("mu");
@@ -105,7 +94,7 @@ model::ScenarioSpec spec_from_cli(const util::ArgParser& parser) {
   if (!parser.get("classes").empty()) {
     spec.bandwidth_classes = fluid::parse_classes(parser.get("classes"));
   }
-  spec.shards = static_cast<unsigned>(positive_count(parser, "shards"));
+  spec.shards = parser.get_count("shards");
   const long long threads = parser.get_int("kernel-threads");
   require(threads >= 0, "--kernel-threads must be non-negative");
   spec.kernel_threads = static_cast<unsigned>(threads);
@@ -265,7 +254,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   const long long seed = parser.get_int("seed");
   require(seed >= 0, "--seed must be non-negative");
   spec.seed = static_cast<std::uint64_t>(seed);
-  spec.num_chunks = positive_count(parser, "chunks");
+  spec.num_chunks = parser.get_count("chunks");
   spec.chunk_policy = sim::piece_policy_from_string(parser.get("piece-policy"));
   spec.chunk_suppression = parser.get_double("suppression");
   if (!parser.get("faults").empty()) {
@@ -411,7 +400,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   // The grid supplies p; pin the base's correlation so --p cannot split
   // the cache namespace for otherwise-identical sweeps.
   base.correlation = 1.0;
-  const std::size_t steps = positive_count(parser, "steps");
+  const std::size_t steps = parser.get_count("steps");
   const long long jobs = parser.get_int("jobs");
   require(jobs >= 0, "--jobs must be >= 0");
   const model::Backend& backend =
@@ -497,7 +486,7 @@ int cmd_adapt(int argc, const char* const* argv) {
   if (!parser.parse(argc, argv)) return 0;
 
   model::ScenarioSpec scenario;
-  scenario.num_files = positive_count(parser, "k");
+  scenario.num_files = parser.get_count("k");
   scenario.correlation = parser.get_double("p");
   scenario.visit_rate = parser.get_double("lambda0");
   scenario.fluid.mu = parser.get_double("mu");
@@ -570,7 +559,7 @@ int cmd_reproduce(int argc, const char* const* argv) {
   options.cache_dir = parser.get("cache-dir");
   options.jobs = static_cast<std::size_t>(jobs);
   options.metrics = &metrics;
-  options.shards = static_cast<unsigned>(positive_count(parser, "shards"));
+  options.shards = parser.get_count("shards");
   robust::SupervisorOptions robust;
   robust_options_from_cli(parser, &robust, &options.resume);
   options.timeout_s = robust.timeout_s;
@@ -699,8 +688,8 @@ int cmd_serve(int argc, const char* const* argv) {
   const long long workers = parser.get_int("workers");
   require(workers >= 0, "--workers must be non-negative");
   options.workers = static_cast<std::size_t>(workers);
-  options.queue_depth = positive_count(parser, "queue-depth");
-  options.max_connections = positive_count(parser, "max-connections");
+  options.queue_depth = parser.get_count("queue-depth");
+  options.max_connections = parser.get_count("max-connections");
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
   options.robust.timeout_s = timeout_s;

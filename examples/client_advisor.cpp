@@ -10,7 +10,7 @@
 //   ./client_advisor --queued 4 --k 10 --p 0.5
 #include <iostream>
 
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/cli.h"
 #include "btmf/util/error.h"
@@ -28,20 +28,20 @@ int main(int argc, char** argv) try {
   parser.add_flag("no-sim", "skip the confirming simulation");
   if (!parser.parse(argc, argv)) return 0;
 
-  const long long raw_queued = parser.get_int("queued");
-  const long long raw_k = parser.get_int("k");
-  if (raw_k < 1) throw ConfigError("--k must be >= 1");
-  if (raw_queued < 1 || raw_queued > raw_k) {
+  model::ScenarioSpec scenario;
+  scenario.num_files = parser.get_count("k");
+  const unsigned queued = parser.get_count("queued");
+  if (queued > scenario.num_files) {
     throw ConfigError("--queued must lie in [1, K]");
   }
-  const unsigned queued = static_cast<unsigned>(raw_queued);
-  core::ScenarioConfig scenario;
-  scenario.num_files = static_cast<unsigned>(raw_k);
   scenario.correlation = parser.get_double("p");
   scenario.validate();
 
-  const auto mtcd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtcd);
-  const auto mtsd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtsd);
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
+  scenario.scheme = fluid::SchemeKind::kMtcd;
+  const model::Outcome mtcd = backend.evaluate_or_throw(scenario);
+  scenario.scheme = fluid::SchemeKind::kMtsd;
+  const model::Outcome mtsd = backend.evaluate_or_throw(scenario);
   const unsigned idx = queued - 1;
 
   util::Table table({"strategy", "your online time (all files + seeding)",

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/util/cli.h"
 #include "btmf/util/error.h"
 #include "btmf/util/strings.h"
@@ -33,25 +33,26 @@ int main(int argc, char** argv) try {
                     "CMFSD bandwidth ratio clients would use");
   if (!parser.parse(argc, argv)) return 0;
 
-  const long long raw_episodes = parser.get_int("episodes");
-  if (raw_episodes < 1) throw ConfigError("--episodes must be >= 1");
-  const unsigned episodes = static_cast<unsigned>(raw_episodes);
+  const unsigned episodes = parser.get_count("episodes");
   const double p = parser.get_double("p");
   const double rho = parser.get_double("rho");
   if (rho < 0.0 || rho > 1.0) throw ConfigError("--rho must lie in [0, 1]");
 
-  core::ScenarioConfig scenario;
+  model::ScenarioSpec scenario;
   scenario.num_files = episodes;
   scenario.correlation = p;
   scenario.validate();
 
-  core::EvaluateOptions options;
-  options.rho = rho;
-  const auto mtcd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtcd);
-  const auto mtsd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtsd);
-  const auto mfcd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMfcd);
-  const auto cmfsd =
-      core::evaluate_scheme(scenario, fluid::SchemeKind::kCmfsd, options);
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
+  const auto evaluate = [&](fluid::SchemeKind scheme) {
+    scenario.scheme = scheme;
+    return backend.evaluate_or_throw(scenario);
+  };
+  const model::Outcome mtcd = evaluate(fluid::SchemeKind::kMtcd);
+  const model::Outcome mtsd = evaluate(fluid::SchemeKind::kMtsd);
+  const model::Outcome mfcd = evaluate(fluid::SchemeKind::kMfcd);
+  scenario.rho = rho;
+  const model::Outcome cmfsd = evaluate(fluid::SchemeKind::kCmfsd);
 
   // A "binge watcher" requests every episode: class E.
   util::Table table({"publishing strategy", "avg online/file (all users)",

@@ -15,7 +15,7 @@
 #include <iostream>
 #include <optional>
 
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/obs/sink.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/cli.h"
@@ -37,10 +37,10 @@ int main(int argc, char** argv) try {
                     "time-series sampling cadence (0 = horizon / 512)");
   if (!parser.parse(argc, argv)) return 0;
 
-  const long long k = parser.get_int("k");
-  if (k < 1) throw ConfigError("--k must be >= 1");
-  core::ScenarioConfig scenario;  // paper defaults: mu/eta/gamma
-  scenario.num_files = static_cast<unsigned>(k);
+  // Paper defaults: mu/eta/gamma, lambda0 = 1, and CMFSD at rho = 0, the
+  // paper's recommended setting.
+  model::ScenarioSpec scenario;
+  scenario.num_files = parser.get_count("k");
   scenario.correlation = parser.get_double("p");
   scenario.validate();
 
@@ -48,17 +48,16 @@ int main(int argc, char** argv) try {
                      "vs MTSD"});
   table.set_precision(4);
 
-  core::EvaluateOptions generous;
-  generous.rho = 0.0;  // the paper's recommended CMFSD setting
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
+  scenario.scheme = fluid::SchemeKind::kMtsd;
   const double mtsd_baseline =
-      core::evaluate_scheme(scenario, fluid::SchemeKind::kMtsd)
-          .avg_online_per_file;
+      backend.evaluate_or_throw(scenario).avg_online_per_file;
 
   for (const fluid::SchemeKind scheme :
        {fluid::SchemeKind::kMtcd, fluid::SchemeKind::kMtsd,
         fluid::SchemeKind::kMfcd, fluid::SchemeKind::kCmfsd}) {
-    const core::SchemeReport report =
-        core::evaluate_scheme(scenario, scheme, generous);
+    scenario.scheme = scheme;
+    const model::Outcome report = backend.evaluate_or_throw(scenario);
     table.add_row({std::string(fluid::to_string(scheme)),
                    report.avg_online_per_file, report.avg_download_per_file,
                    report.avg_online_per_file / mtsd_baseline});

@@ -26,7 +26,4 @@ struct FluidParams {
 /// The exact constants used throughout the paper's Section 4 evaluation.
 inline constexpr FluidParams kPaperParams{0.02, 0.5, 0.05};
 
-/// The number of files/torrents used in every figure of the paper.
-inline constexpr unsigned kPaperNumFiles = 10;
-
 }  // namespace btmf::fluid

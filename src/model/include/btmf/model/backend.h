@@ -102,7 +102,7 @@ class Backend {
 
   /// As evaluate() but throwing: btmf::ConfigError for malformed or
   /// unsupported specs, the original btmf::Error (SolverError, ...) for
-  /// evaluation failures. What core::evaluate_scheme builds on.
+  /// evaluation failures.
   [[nodiscard]] Outcome evaluate_or_throw(const ScenarioSpec& spec) const;
 
  protected:

@@ -8,12 +8,10 @@
 // understands and declares — via Backend::capabilities() — which fields it
 // refuses; nothing is silently ignored that could change a result.
 //
-// The spec carries one *canonical fingerprint* that subsumes both the old
-// core::fingerprint(ScenarioConfig/EvaluateOptions) pair and the
-// hand-rolled sim_fingerprint that reproduce.cpp used to maintain: every
-// field that can move any backend's output is folded in with exact
-// round-trip doubles, so keying a cache on (backend name, fingerprint)
-// makes stale hits impossible.
+// The spec carries one *canonical fingerprint*: every field that can move
+// any backend's output is folded in with exact round-trip doubles, so
+// keying a cache on (backend name, fingerprint) makes stale hits
+// impossible.
 #pragma once
 
 #include <cstddef>

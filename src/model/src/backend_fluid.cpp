@@ -1,9 +1,7 @@
 // The two fluid backends.
 //
-//  * fluid-equilibrium — the paper's steady states. This is the evaluation
-//    logic that used to live in core::evaluate_scheme, moved here verbatim
-//    so core::evaluate_scheme can be a thin wrapper; every number it
-//    produced before the refactor is reproduced bit-identically.
+//  * fluid-equilibrium — the paper's steady states: the closed forms
+//    where they exist, CMFSD's pool-rate root otherwise.
 //  * fluid-transient — the same ODE systems integrated from an empty
 //    torrent to the spec's horizon and read out with Little's law at the
 //    endpoint, with the sampled population trajectory attached. Converges

@@ -1,6 +1,7 @@
 #include "btmf/model/wire.h"
 
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -33,6 +34,18 @@ long long to_count(std::string_view s, std::string_view what,
     malformed(std::string(what) + " must be >= " + std::to_string(min_value));
   }
   return v;
+}
+
+/// A count the spec stores as `unsigned`: a value above UINT_MAX is
+/// malformed rather than wrapped by the cast into a valid-looking count.
+unsigned to_unsigned(std::string_view s, std::string_view what,
+                     long long min_value) {
+  const long long v = to_count(s, what, min_value);
+  if (v > std::numeric_limits<unsigned>::max()) {
+    malformed(std::string(what) + " must be <= " +
+              std::to_string(std::numeric_limits<unsigned>::max()));
+  }
+  return static_cast<unsigned>(v);
 }
 
 std::vector<std::string> fields_of(std::string_view value,
@@ -138,8 +151,7 @@ ScenarioSpec decode_spec(std::string_view wire) {
   };
 
   ScenarioSpec spec;
-  spec.num_files =
-      static_cast<unsigned>(to_count(take("k"), "k", 1));
+  spec.num_files = to_unsigned(take("k"), "k", 1);
   spec.correlation = to_double(take("p"), "p");
   spec.visit_rate = to_double(take("lambda0"), "lambda0");
   spec.fluid.mu = to_double(take("mu"), "mu");
@@ -186,12 +198,10 @@ ScenarioSpec decode_spec(std::string_view wire) {
     spec.adapt.phi_hi = to_double(f[4], "adapt phi_hi");
     spec.adapt.step_up = to_double(f[5], "adapt step_up");
     spec.adapt.step_down = to_double(f[6], "adapt step_down");
-    spec.adapt.consecutive =
-        static_cast<unsigned>(to_count(f[7], "adapt consecutive", 0));
+    spec.adapt.consecutive = to_unsigned(f[7], "adapt consecutive", 0);
   }
   spec.faults = parse_faults(take("faults"));
-  spec.num_chunks =
-      static_cast<unsigned>(to_count(take("chunks"), "chunks", 1));
+  spec.num_chunks = to_unsigned(take("chunks"), "chunks", 1);
   spec.chunk_policy = sim::piece_policy_from_string(take("piece"));
   spec.chunk_suppression = to_double(take("suppress"), "suppress");
 
@@ -220,8 +230,7 @@ ScenarioSpec decode_spec(std::string_view wire) {
     }
   }
   if (take_optional("ereps", &demand)) {
-    spec.epidemic_replications =
-        static_cast<unsigned>(to_count(demand, "ereps", 1));
+    spec.epidemic_replications = to_unsigned(demand, "ereps", 1);
     if (spec.epidemic_replications == 8) {
       malformed("ereps key present at its default (non-canonical wire)");
     }

@@ -99,12 +99,6 @@ struct SimConfig {
   AdaptConfig adapt{};               ///< per-peer rho controller
   SeedPoolMode seed_pool = SeedPoolMode::kGlobal;
 
-  /// MFCD only: when true (the default, matching random chunk selection),
-  /// a peer's files complete together and it then seeds all of them for a
-  /// single Exp(gamma) residence; when false, MFCD degenerates to MTCD
-  /// semantics with independent per-file completions and departures.
-  bool mfcd_joint_completion = true;
-
   /// Per-user download bandwidth cap c (split 1/i per virtual peer under
   /// the concurrent schemes); infinity reproduces the paper's
   /// upload-constrained assumption. See fluid/extended.h for the c*

@@ -1,9 +1,8 @@
 // Factories for the scheme policies plugged into the event kernel.
 //
 // Each policy is self-contained: construct one, hand it to EventKernel
-// together with a SimConfig, and call run(). The public entry points
-// (run_multi_torrent_sim / run_cmfsd_sim / run_simulation) are thin
-// wrappers over exactly this.
+// together with a SimConfig, and call run(). sim::run_simulation picks
+// the factory by scheme and runs it through ShardedKernel.
 #pragma once
 
 #include <memory>

@@ -15,8 +15,10 @@ class ThreadPool;
 
 namespace btmf::sim {
 
-/// Runs one replication of `config`, dispatching to the multi-torrent or
-/// CMFSD engine by `config.scheme`.
+/// Runs one replication of `config` on the event kernel with the policy
+/// of `config.scheme` (btmf/sim/policies.h). MTCD decomposes per torrent
+/// and runs sharded (cfg.shards / cfg.kernel_threads apply); the other
+/// schemes do not decompose and run one serial kernel.
 SimResult run_simulation(const SimConfig& config);
 
 /// One replication that died with an exception instead of producing a

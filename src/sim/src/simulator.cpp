@@ -8,8 +8,8 @@
 #include "btmf/math/stats.h"
 #include "btmf/parallel/parallel_for.h"
 #include "btmf/parallel/seeds.h"
-#include "btmf/sim/cmfsd_sim.h"
-#include "btmf/sim/multi_torrent_sim.h"
+#include "btmf/sim/policies.h"
+#include "btmf/sim/sharded_kernel.h"
 #include "btmf/util/check.h"
 #include "btmf/util/error.h"
 
@@ -68,10 +68,23 @@ void SimConfig::validate() const {
 }
 
 SimResult run_simulation(const SimConfig& config) {
-  if (config.scheme == fluid::SchemeKind::kCmfsd) {
-    return run_cmfsd_sim(config);
+  PolicyFactory factory;
+  switch (config.scheme) {
+    case fluid::SchemeKind::kMtcd:
+      factory = make_mtcd_policy;
+      break;
+    case fluid::SchemeKind::kMtsd:
+      factory = make_mtsd_policy;
+      break;
+    case fluid::SchemeKind::kMfcd:
+      factory = make_mfcd_policy;
+      break;
+    case fluid::SchemeKind::kCmfsd:
+      factory = make_cmfsd_policy;
+      break;
   }
-  return run_multi_torrent_sim(config);
+  ShardedKernel kernel(config, std::move(factory));
+  return kernel.run();
 }
 
 ReplicationSummary run_replications(const SimConfig& config,

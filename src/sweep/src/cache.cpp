@@ -12,9 +12,9 @@
 #include <unistd.h>
 #endif
 
-#include "btmf/core/version.h"
 #include "btmf/util/error.h"
 #include "btmf/util/strings.h"
+#include "btmf/util/version.h"
 
 namespace btmf::sweep {
 

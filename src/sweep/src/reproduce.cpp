@@ -9,7 +9,7 @@
 #include <map>
 #include <sstream>
 
-#include "btmf/core/experiments.h"
+#include "btmf/fluid/mfcd.h"
 #include "btmf/model/backend.h"
 #include "btmf/sim/stats.h"
 #include "btmf/util/error.h"
@@ -59,16 +59,6 @@ SweepOptions engine_options(const ReproduceOptions& options) {
   out.robust.isolate = options.isolate;
   out.resume = options.resume;
   return out;
-}
-
-/// The scenario part of a figure's spec (scheme/rho/seed vary per point).
-model::ScenarioSpec spec_of(const core::ScenarioConfig& base) {
-  model::ScenarioSpec spec;
-  spec.num_files = base.num_files;
-  spec.correlation = base.correlation;
-  spec.visit_rate = base.visit_rate;
-  spec.fluid = base.fluid;
-  return spec;
 }
 
 /// Every figure keys its disk cache on (backend name, canonical spec
@@ -121,16 +111,21 @@ void mark_skipped(FigureReport& report,
 // Fig. 2 — system-average online time per file vs correlation p.
 
 SweepSpec fig2_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig2";
   spec.grid.axis("p", linspace(0.0, 1.0, 21));
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    const core::Fig2Point sample = core::fig2_point(base, point.at("p"));
+    model::ScenarioSpec scenario = base;
+    scenario.correlation = point.at("p");
     PointResult result;
-    result.values["mtcd_online_per_file"] = sample.mtcd_online_per_file;
-    result.values["mtsd_online_per_file"] = sample.mtsd_online_per_file;
+    scenario.scheme = fluid::SchemeKind::kMtcd;
+    result.values["mtcd_online_per_file"] =
+        fluid_backend().evaluate_or_throw(scenario).avg_online_per_file;
+    scenario.scheme = fluid::SchemeKind::kMtsd;
+    result.values["mtsd_online_per_file"] =
+        fluid_backend().evaluate_or_throw(scenario).avg_online_per_file;
     return result;
   };
   return spec;
@@ -203,20 +198,28 @@ FigureReport run_fig2(const ReproduceOptions& options) {
 // Fig. 3 — per-class online/download times under MTCD and MTSD.
 
 SweepSpec fig3_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig3";
   spec.grid.axis("p", {0.1, 1.0});
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    const core::Fig3Point sample = core::fig3_point(base, point.at("p"));
+    model::ScenarioSpec scenario = base;
+    scenario.scheme = fluid::SchemeKind::kMtsd;
+    scenario.correlation = point.at("p");
+    const model::Outcome mtsd = fluid_backend().evaluate_or_throw(scenario);
     PointResult result;
-    result.values["mtcd_factor_a"] = sample.mtcd_factor_a;
+    // The paper plots MTCD's closed-form curves T_i/i = A + 1/(i gamma)
+    // and D_i/i = A over ALL classes, including classes whose population
+    // vanishes at this p, so the point stores the per-file factor A.
+    result.values["mtcd_factor_a"] = fluid::mfcd_download_time_per_file(
+        scenario.fluid, scenario.correlation_model());
     for (unsigned i = 1; i <= base.num_files; ++i) {
       const std::string suffix = ".c" + std::to_string(i);
       result.values["mtsd_online" + suffix] =
-          sample.mtsd_online_per_file[i - 1];
-      result.values["mtsd_dl" + suffix] = sample.mtsd_download_per_file[i - 1];
+          mtsd.per_class.online_per_file[i - 1];
+      result.values["mtsd_dl" + suffix] =
+          mtsd.per_class.download_per_file[i - 1];
     }
     return result;
   };
@@ -224,7 +227,7 @@ SweepSpec fig3_spec() {
 }
 
 FigureReport run_fig3(const ReproduceOptions& options) {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   FigureReport report;
   report.name = "fig3";
   report.title = "Per-class times: MTCD's light users pay, heavy users gain";
@@ -319,16 +322,16 @@ FigureReport run_fig3(const ReproduceOptions& options) {
 // Fig. 4(a) — CMFSD average online time over the (p, rho) grid.
 
 SweepSpec fig4a_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig4a";
   // CMFSD is undefined at p = 0 (nobody requests any file), so the grid
   // starts at 0.1 exactly as the paper's sweep does.
   spec.grid.axis("p", linspace(0.1, 1.0, 10))
       .axis("rho", linspace(0.0, 1.0, 11));
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    model::ScenarioSpec scenario = spec_of(base);
+    model::ScenarioSpec scenario = base;
     scenario.scheme = fluid::SchemeKind::kCmfsd;
     scenario.correlation = point.at("p");
     scenario.rho = point.at("rho");
@@ -342,7 +345,7 @@ SweepSpec fig4a_spec() {
 }
 
 FigureReport run_fig4a(const ReproduceOptions& options) {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   FigureReport report;
   report.name = "fig4a";
   report.title = "CMFSD: rho = 0 is optimal at every correlation";
@@ -402,7 +405,7 @@ FigureReport run_fig4a(const ReproduceOptions& options) {
     table.add_row(std::move(row));
     if (argmin != 0) ++argmin_not_zero;
 
-    model::ScenarioSpec scenario = spec_of(base);
+    model::ScenarioSpec scenario = base;
     scenario.scheme = fluid::SchemeKind::kMfcd;
     scenario.correlation = p_values[pi];
     const double mfcd_online =
@@ -453,13 +456,13 @@ FigureReport run_fig4a(const ReproduceOptions& options) {
 // Fig. 4(b)/(c) — CMFSD per-class times vs MFCD at p = 0.9 and p = 0.1.
 
 SweepSpec fig4bc_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig4bc";
   spec.grid.axis("p", {0.9, 0.1}).axis("rho", {0.1, 0.9});
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    model::ScenarioSpec scenario = spec_of(base);
+    model::ScenarioSpec scenario = base;
     scenario.scheme = fluid::SchemeKind::kCmfsd;
     scenario.correlation = point.at("p");
     scenario.rho = point.at("rho");
@@ -478,7 +481,7 @@ SweepSpec fig4bc_spec() {
 }
 
 FigureReport run_fig4bc(const ReproduceOptions& options) {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   const unsigned k = base.num_files;
   FigureReport report;
   report.name = "fig4bc";
@@ -514,7 +517,7 @@ FigureReport run_fig4bc(const ReproduceOptions& options) {
   double fig4c_dl_ck = 0.0;
   for (std::size_t pi = 0; pi < p_values.size(); ++pi) {
     const double p = p_values[pi];
-    model::ScenarioSpec scenario = spec_of(base);
+    model::ScenarioSpec scenario = base;
     scenario.scheme = fluid::SchemeKind::kMfcd;
     scenario.correlation = p;
     const model::Outcome mfcd = fluid_backend().evaluate_or_throw(scenario);
@@ -554,7 +557,7 @@ FigureReport run_fig4bc(const ReproduceOptions& options) {
   // (p = 0.9, rho = 0.1) is point 0 and (p = 0.1, rho = 0.1) is point 2.
   const PointResult& fig4b_cell = result_at(0, 0);
   const PointResult& fig4c_cell = result_at(1, 0);
-  model::ScenarioSpec fig4b_scenario = spec_of(base);
+  model::ScenarioSpec fig4b_scenario = base;
   fig4b_scenario.scheme = fluid::SchemeKind::kMfcd;
   fig4b_scenario.correlation = 0.9;
   const model::Outcome fig4b_mfcd =

@@ -1,9 +1,11 @@
 #include "btmf/util/cli.h"
 
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "btmf/util/check.h"
+#include "btmf/util/error.h"
 #include "btmf/util/strings.h"
 
 namespace btmf::util {
@@ -77,6 +79,16 @@ double ArgParser::get_double(const std::string& name) const {
 
 long long ArgParser::get_int(const std::string& name) const {
   return parse_int(get(name), "--" + name);
+}
+
+unsigned ArgParser::get_count(const std::string& name) const {
+  const long long raw = get_int(name);
+  if (raw < 1 || raw > std::numeric_limits<unsigned>::max()) {
+    throw ConfigError("--" + name + " must lie in [1, " +
+                      std::to_string(std::numeric_limits<unsigned>::max()) +
+                      "] (got " + std::to_string(raw) + ")");
+  }
+  return static_cast<unsigned>(raw);
 }
 
 bool ArgParser::get_flag(const std::string& name) const {

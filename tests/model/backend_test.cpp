@@ -1,14 +1,11 @@
 // The Backend seam: registry contents, typed unsupported/failed outcomes
-// (no backend may crash on an out-of-domain spec), capability gating, the
-// core::evaluate_scheme wrapper identity, and per-seed determinism of the
-// stochastic backends.
+// (no backend may crash on an out-of-domain spec), capability gating, and
+// per-seed determinism of the stochastic backends.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "btmf/core/evaluate.h"
-#include "btmf/core/scenario.h"
 #include "btmf/model/backend.h"
 #include "btmf/util/error.h"
 
@@ -183,45 +180,6 @@ TEST(ModelBackendTest, OutcomeStatusToStringIsStable) {
   EXPECT_STREQ(to_string(OutcomeStatus::kOk), "ok");
   EXPECT_STREQ(to_string(OutcomeStatus::kUnsupported), "unsupported");
   EXPECT_STREQ(to_string(OutcomeStatus::kFailed), "failed");
-}
-
-// core::evaluate_scheme is a thin wrapper over fluid-equilibrium: same
-// inputs must give bit-identical numbers through either door.
-TEST(ModelBackendTest, CoreEvaluateSchemeIsTheFluidEquilibriumBackend) {
-  core::ScenarioConfig scenario;
-  scenario.num_files = 5;
-  scenario.correlation = 0.9;
-  core::EvaluateOptions options;
-  options.rho = 0.3;
-
-  ScenarioSpec spec;
-  spec.num_files = 5;
-  spec.correlation = 0.9;
-  spec.scheme = fluid::SchemeKind::kCmfsd;
-  spec.rho = 0.3;
-
-  const core::SchemeReport report =
-      core::evaluate_scheme(scenario, fluid::SchemeKind::kCmfsd, options);
-  const Outcome outcome =
-      require_backend("fluid-equilibrium").evaluate_or_throw(spec);
-
-  EXPECT_DOUBLE_EQ(report.avg_online_per_file, outcome.avg_online_per_file);
-  EXPECT_DOUBLE_EQ(report.avg_download_per_file,
-                   outcome.avg_download_per_file);
-  EXPECT_DOUBLE_EQ(report.avg_online_per_user, outcome.avg_online_per_user);
-  ASSERT_EQ(report.per_class.num_classes(), outcome.per_class.num_classes());
-  for (std::size_t i = 0; i < report.per_class.num_classes(); ++i) {
-    EXPECT_DOUBLE_EQ(report.per_class.online_per_file[i],
-                     outcome.per_class.online_per_file[i]);
-    EXPECT_DOUBLE_EQ(report.per_class.download_per_file[i],
-                     outcome.per_class.download_per_file[i]);
-  }
-  ASSERT_EQ(report.class_entry_rates.size(),
-            outcome.class_entry_rates.size());
-  for (std::size_t i = 0; i < report.class_entry_rates.size(); ++i) {
-    EXPECT_DOUBLE_EQ(report.class_entry_rates[i],
-                     outcome.class_entry_rates[i]);
-  }
 }
 
 TEST(ModelBackendTest, StochasticBackendsAreDeterministicPerSeed) {

@@ -167,5 +167,49 @@ TEST(ModelWireTest, RejectsOutOfRangeValues) {
   EXPECT_THROW(decode_spec(wire), ConfigError);
 }
 
+/// `wire` with the value of `key` replaced by `value`.
+std::string with_value(const std::string& wire, const std::string& key,
+                       const std::string& value) {
+  std::string out = ";" + wire;
+  const std::size_t at = out.find(";" + key + "=");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size() + 2;
+  out.replace(begin, out.find(';', begin) - begin, value);
+  return out.substr(1);
+}
+
+// Counts the spec stores as `unsigned` must not wrap: 2^32 + 1 would
+// otherwise decode as 1 and share that spec's fingerprint and cache entry.
+TEST(ModelWireTest, RejectsFileCountsAboveUintMax) {
+  const std::string wire = encode_spec(ScenarioSpec{});
+  EXPECT_THROW(decode_spec(with_value(wire, "k", "4294967297")), ConfigError);
+  EXPECT_EQ(decode_spec(with_value(wire, "k", "3")).num_files, 3u);
+}
+
+TEST(ModelWireTest, RejectsChunkCountsAboveUintMax) {
+  const std::string wire = encode_spec(ScenarioSpec{});
+  EXPECT_THROW(decode_spec(with_value(wire, "chunks", "4294967328")),
+               ConfigError);
+}
+
+TEST(ModelWireTest, RejectsEpidemicReplicationsAboveUintMax) {
+  const std::string wire = encode_spec(ScenarioSpec{});
+  EXPECT_THROW(decode_spec(wire + ";ereps=4294967297"), ConfigError);
+}
+
+TEST(ModelWireTest, RejectsAdaptConsecutiveAboveUintMax) {
+  ScenarioSpec spec;
+  spec.adapt.enabled = true;
+  const std::string wire = encode_spec(spec);
+  const std::size_t at = wire.find(";adapt=");
+  ASSERT_NE(at, std::string::npos);
+  const std::string adapt =
+      wire.substr(at + 7, wire.find(';', at + 1) - at - 7);
+  const std::string head = adapt.substr(0, adapt.rfind(',') + 1);
+  EXPECT_NO_THROW(decode_spec(with_value(wire, "adapt", head + "3")));
+  EXPECT_THROW(decode_spec(with_value(wire, "adapt", head + "4294967298")),
+               ConfigError);
+}
+
 }  // namespace
 }  // namespace btmf::model

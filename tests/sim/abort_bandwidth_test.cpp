@@ -1,11 +1,9 @@
-// Abort-rate and download-bandwidth-cap behaviour of both engines, cross
+// Abort-rate and download-bandwidth-cap behaviour of every scheme, cross
 // validated against the extended Qiu–Srikant closed forms (K = 1 makes
 // every scheme a plain single torrent).
 #include <gtest/gtest.h>
 
 #include "btmf/fluid/extended.h"
-#include "btmf/sim/cmfsd_sim.h"
-#include "btmf/sim/multi_torrent_sim.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/error.h"
 

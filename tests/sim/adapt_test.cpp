@@ -2,7 +2,6 @@
 // here; its systematic evaluation is the paper's stated future work).
 #include <gtest/gtest.h>
 
-#include "btmf/sim/cmfsd_sim.h"
 #include "btmf/sim/simulator.h"
 
 namespace btmf::sim {
@@ -25,7 +24,7 @@ SimConfig adapt_config(double p, double cheater_fraction) {
 }
 
 TEST(AdaptTest, TrajectoryIsRecorded) {
-  const SimResult r = run_cmfsd_sim(adapt_config(0.9, 0.0));
+  const SimResult r = run_simulation(adapt_config(0.9, 0.0));
   ASSERT_FALSE(r.rho_trajectory_time.empty());
   // Samples are taken at the Adapt tick cadence after warm-up.
   EXPECT_GE(r.rho_trajectory_time.front(), 800.0);
@@ -39,7 +38,7 @@ TEST(AdaptTest, ObedientHighCorrelationSystemStaysGenerous) {
   // With everyone obedient at high p, contributions and receipts roughly
   // balance inside the dead band, so rho stays near the initial 0 and the
   // system keeps the CMFSD(rho=0) performance.
-  const SimResult r = run_cmfsd_sim(adapt_config(0.9, 0.0));
+  const SimResult r = run_simulation(adapt_config(0.9, 0.0));
   ASSERT_FALSE(r.rho_trajectory_mean.empty());
   const double final_rho = r.rho_trajectory_mean.back();
   EXPECT_LT(final_rho, 0.35);
@@ -50,8 +49,8 @@ TEST(AdaptTest, CheaterMajorityDrivesObedientRhoUp) {
   // The paper's prediction: when most peers cheat, obedient peers detect
   // the persistent over-contribution (Delta > phi_hi) and self-protect,
   // pushing rho toward 1 (the system degenerates to MFCD-like behaviour).
-  const SimResult honest = run_cmfsd_sim(adapt_config(0.9, 0.0));
-  const SimResult cheated = run_cmfsd_sim(adapt_config(0.9, 0.85));
+  const SimResult honest = run_simulation(adapt_config(0.9, 0.0));
+  const SimResult cheated = run_simulation(adapt_config(0.9, 0.85));
   ASSERT_FALSE(honest.rho_trajectory_mean.empty());
   ASSERT_FALSE(cheated.rho_trajectory_mean.empty());
   EXPECT_GT(cheated.rho_trajectory_mean.back(),
@@ -62,7 +61,7 @@ TEST(AdaptTest, StepSizeZeroFreezesRho) {
   SimConfig c = adapt_config(0.9, 0.5);
   c.adapt.step_up = 0.0;
   c.adapt.step_down = 0.0;
-  const SimResult r = run_cmfsd_sim(c);
+  const SimResult r = run_simulation(c);
   for (const double rho : r.rho_trajectory_mean) {
     EXPECT_DOUBLE_EQ(rho, c.adapt.initial_rho);
   }
@@ -73,7 +72,7 @@ TEST(AdaptTest, InitialRhoIsRespected) {
   c.adapt.initial_rho = 0.6;
   c.adapt.step_up = 0.0;
   c.adapt.step_down = 0.0;
-  const SimResult r = run_cmfsd_sim(c);
+  const SimResult r = run_simulation(c);
   ASSERT_FALSE(r.rho_trajectory_mean.empty());
   EXPECT_NEAR(r.rho_trajectory_mean.front(), 0.6, 1e-9);
 }
@@ -83,8 +82,8 @@ TEST(AdaptTest, WideDeadBandSuppressesAdaptation) {
   SimConfig wide = narrow;
   wide.adapt.phi_lo = -1.0;  // absurdly wide: Delta never leaves the band
   wide.adapt.phi_hi = 1.0;
-  const SimResult n = run_cmfsd_sim(narrow);
-  const SimResult w = run_cmfsd_sim(wide);
+  const SimResult n = run_simulation(narrow);
+  const SimResult w = run_simulation(wide);
   ASSERT_FALSE(w.rho_trajectory_mean.empty());
   EXPECT_NEAR(w.rho_trajectory_mean.back(), 0.0, 1e-12);
   EXPECT_GT(n.rho_trajectory_mean.back(), 0.2);

@@ -1,4 +1,4 @@
-#include "btmf/sim/cmfsd_sim.h"
+#include "btmf/sim/simulator.h"
 
 #include <gtest/gtest.h>
 
@@ -22,25 +22,19 @@ SimConfig small_config(double p, double rho) {
 
 TEST(CmfsdSimTest, DeterministicForFixedSeed) {
   const SimConfig c = small_config(0.8, 0.2);
-  const SimResult a = run_cmfsd_sim(c);
-  const SimResult b = run_cmfsd_sim(c);
+  const SimResult a = run_simulation(c);
+  const SimResult b = run_simulation(c);
   EXPECT_DOUBLE_EQ(a.avg_online_per_file, b.avg_online_per_file);
   EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
 TEST(CmfsdSimTest, RhoZeroBeatsRhoOne) {
-  const SimResult generous = run_cmfsd_sim(small_config(0.9, 0.0));
-  const SimResult selfish = run_cmfsd_sim(small_config(0.9, 1.0));
+  const SimResult generous = run_simulation(small_config(0.9, 0.0));
+  const SimResult selfish = run_simulation(small_config(0.9, 1.0));
   ASSERT_GT(generous.total_users, 300u);
   ASSERT_GT(selfish.total_users, 300u);
   EXPECT_LT(generous.avg_online_per_file,
             0.8 * selfish.avg_online_per_file);
-}
-
-TEST(CmfsdSimTest, WrongSchemeRejected) {
-  SimConfig c = small_config(0.5, 0.0);
-  c.scheme = fluid::SchemeKind::kMtsd;
-  EXPECT_THROW((void)run_cmfsd_sim(c), ConfigError);
 }
 
 TEST(CmfsdSimTest, ClassOneBenefitsFromOthersDonations) {
@@ -48,7 +42,7 @@ TEST(CmfsdSimTest, ClassOneBenefitsFromOthersDonations) {
   // virtual-seed pool, so their download time beats the 60-unit
   // single-torrent baseline whenever multi-file peers are generous.
   SimConfig c = small_config(0.15, 0.0);
-  const SimResult r = run_cmfsd_sim(c);
+  const SimResult r = run_simulation(c);
   ASSERT_GT(r.classes[0].completed_users, 200u);
   EXPECT_LT(r.classes[0].mean_download_per_file, 60.0);
   EXPECT_GT(r.classes[0].mean_download_per_file, 20.0);
@@ -59,8 +53,8 @@ TEST(CmfsdSimTest, CheatersShiftLoadOntoObedientPeers) {
   honest.horizon = 3000.0;
   SimConfig cheaty = honest;
   cheaty.cheater_fraction = 0.8;
-  const SimResult a = run_cmfsd_sim(honest);
-  const SimResult b = run_cmfsd_sim(cheaty);
+  const SimResult a = run_simulation(honest);
+  const SimResult b = run_simulation(cheaty);
   // With most multi-file peers refusing to virtual-seed, the average
   // online time per file degrades toward the rho = 1 level.
   EXPECT_GT(b.avg_online_per_file, 1.15 * a.avg_online_per_file);
@@ -77,8 +71,8 @@ TEST(CmfsdSimTest, DemandBlindLocalPoolCongests) {
   SimConfig global = small_config(0.9, 0.0);
   SimConfig local = global;
   local.seed_pool = SeedPoolMode::kSubtorrentLocal;
-  const SimResult g = run_cmfsd_sim(global);
-  const SimResult l = run_cmfsd_sim(local);
+  const SimResult g = run_simulation(global);
+  const SimResult l = run_simulation(local);
   const auto& gc = g.classes[4];
   const auto& lc = l.classes[4];
   ASSERT_GT(gc.arrival_rate, 0.0);
@@ -97,8 +91,8 @@ TEST(CmfsdSimTest, DemandAwareLocalPoolRecoversAtModerateRho) {
   SimConfig global = small_config(0.9, 0.2);
   SimConfig aware = global;
   aware.seed_pool = SeedPoolMode::kSubtorrentDemandAware;
-  const SimResult g = run_cmfsd_sim(global);
-  const SimResult a = run_cmfsd_sim(aware);
+  const SimResult g = run_simulation(global);
+  const SimResult a = run_simulation(aware);
   const auto& gc = g.classes[4];
   const auto& ac = a.classes[4];
   EXPECT_LT(ac.little_online_time, 1.15 * gc.little_online_time);
@@ -107,14 +101,14 @@ TEST(CmfsdSimTest, DemandAwareLocalPoolRecoversAtModerateRho) {
   // DemandBlindLocalPoolCongests above); at rho = 0.2 it is merely worse.
   SimConfig random_target = global;
   random_target.seed_pool = SeedPoolMode::kSubtorrentLocal;
-  const SimResult r = run_cmfsd_sim(random_target);
+  const SimResult r = run_simulation(random_target);
   EXPECT_GT(r.classes[4].little_online_time, ac.little_online_time);
 }
 
 TEST(CmfsdSimTest, SampleAndLittleViewsAgree) {
   SimConfig c = small_config(1.0, 0.0);
   c.horizon = 3000.0;
-  const SimResult r = run_cmfsd_sim(c);
+  const SimResult r = run_simulation(c);
   const auto& cls = r.classes[4];  // class K at p = 1
   ASSERT_GT(cls.completed_users, 200u);
   EXPECT_NEAR(cls.little_online_time, cls.mean_online_per_file,
@@ -124,11 +118,11 @@ TEST(CmfsdSimTest, SampleAndLittleViewsAgree) {
 TEST(CmfsdSimTest, RunawayGuardThrows) {
   SimConfig c = small_config(0.9, 0.0);
   c.max_active_peers = 5;
-  EXPECT_THROW((void)run_cmfsd_sim(c), SolverError);
+  EXPECT_THROW((void)run_simulation(c), SolverError);
 }
 
 TEST(CmfsdSimTest, NoRhoTrajectoryWithoutAdapt) {
-  const SimResult r = run_cmfsd_sim(small_config(0.9, 0.0));
+  const SimResult r = run_simulation(small_config(0.9, 0.0));
   EXPECT_TRUE(r.rho_trajectory_time.empty());
 }
 
@@ -138,8 +132,8 @@ TEST(CmfsdSimTest, DownloadTimeScalesWithFileSize) {
   large.file_size = 2.0;
   large.horizon = 5000.0;
   large.warmup = 1500.0;
-  const SimResult a = run_cmfsd_sim(small);
-  const SimResult b = run_cmfsd_sim(large);
+  const SimResult a = run_simulation(small);
+  const SimResult b = run_simulation(large);
   // Twice the bytes at the same service rates ~ twice the download time.
   EXPECT_NEAR(b.avg_download_per_file / a.avg_download_per_file, 2.0, 0.35);
 }

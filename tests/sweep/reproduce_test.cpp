@@ -82,6 +82,15 @@ TEST(SweepReproduce, Fig3ClaimsPassAgainstPaperValues) {
   EXPECT_TRUE(report.all_pass());
 }
 
+TEST(SweepReproduce, Fig4aClaimsPassAgainstPaperValues) {
+  const FigureReport report = find_figure("fig4a")->run({});
+  EXPECT_EQ(report.claims.size(), 6u);
+  for (const Claim& claim : report.claims) {
+    EXPECT_TRUE(claim.pass) << claim.id << ": measured " << claim.measured;
+  }
+  EXPECT_EQ(report.stats.points, 110u);  // 10 p values x 11 rho values
+}
+
 TEST(SweepReproduce, Fig4bcClaimsPassAgainstPaperValues) {
   const FigureReport report = find_figure("fig4bc")->run({});
   for (const Claim& claim : report.claims) {

@@ -103,5 +103,28 @@ TEST(CliTest, NonNumericValueThrowsOnTypedGet) {
   EXPECT_THROW((void)parser.get_double("p"), ConfigError);
 }
 
+TEST(CliTest, CountRejectsZeroAndNegativeValues) {
+  for (const char* value : {"0", "-1"}) {
+    ArgParser parser = make_parser();
+    const std::array<const char*, 3> argv{"prog", "--k", value};
+    ASSERT_TRUE(parser.parse(3, argv.data()));
+    EXPECT_THROW((void)parser.get_count("k"), ConfigError) << value;
+  }
+}
+
+TEST(CliTest, CountRejectsValuesThatWouldWrapAsUnsigned) {
+  ArgParser parser = make_parser();
+  const std::array<const char*, 3> argv{"prog", "--k", "4294967296"};
+  ASSERT_TRUE(parser.parse(3, argv.data()));
+  EXPECT_THROW((void)parser.get_count("k"), ConfigError);
+}
+
+TEST(CliTest, CountAcceptsTheLargestUnsigned) {
+  ArgParser parser = make_parser();
+  const std::array<const char*, 3> argv{"prog", "--k", "4294967295"};
+  ASSERT_TRUE(parser.parse(3, argv.data()));
+  EXPECT_EQ(parser.get_count("k"), 4294967295U);
+}
+
 }  // namespace
 }  // namespace btmf::util
