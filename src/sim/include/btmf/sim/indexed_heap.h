@@ -4,11 +4,14 @@
 // group's earliest candidate completion time. Updating a group's key on a
 // rate epoch is O(log G) where G is the number of groups — the heart of
 // the incremental scheduler that replaced the per-event O(live peers)
-// rate rescan. Ties are broken by id so the pop order (and therefore the
-// whole simulation) is deterministic.
+// rate rescan. Ties are broken by a per-id tie value — the id itself
+// unless the caller supplies one (MFCD's wakes use the user's admission
+// sequence, which survives row recycling) — so the pop order (and
+// therefore the whole simulation) is deterministic.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@ class IndexedMinHeap {
     BTMF_ASSERT(n >= pos_.size());
     pos_.resize(n, npos);
     key_.resize(n, 0.0);
+    tie_.resize(n, 0);
   }
 
   [[nodiscard]] std::size_t id_capacity() const { return pos_.size(); }
@@ -38,17 +42,25 @@ class IndexedMinHeap {
   [[nodiscard]] std::size_t top_id() const { return heap_.front(); }
   [[nodiscard]] double top_key() const { return key_[heap_.front()]; }
 
-  /// Inserts `id` or changes its key, restoring the heap order.
-  void set(std::size_t id, double key) {
+  /// Inserts `id` or changes its key, restoring the heap order; equal
+  /// keys pop in ascending id order.
+  void set(std::size_t id, double key) { set(id, key, id); }
+
+  /// As set(id, key), but equal keys pop in ascending `tie` order. Tie
+  /// values must be distinct among the ids present at once.
+  void set(std::size_t id, double key, std::uint64_t tie) {
     if (pos_[id] == npos) {
       key_[id] = key;
+      tie_[id] = tie;
       pos_[id] = heap_.size();
       heap_.push_back(id);
       sift_up(pos_[id]);
     } else {
       const double old = key_[id];
+      const std::uint64_t old_tie = tie_[id];
       key_[id] = key;
-      if (key < old || (key == old && id < heap_[parent(pos_[id])])) {
+      tie_[id] = tie;
+      if (key < old || (key == old && tie < old_tie)) {
         sift_up(pos_[id]);
       } else {
         sift_down(pos_[id]);
@@ -98,14 +110,10 @@ class IndexedMinHeap {
   }
 
  private:
-  [[nodiscard]] static std::size_t parent(std::size_t i) {
-    return i == 0 ? 0 : (i - 1) / 2;
-  }
-
-  /// (key, id) lexicographic order makes the heap a strict weak order even
-  /// when many groups share a candidate time (e.g. +infinity).
+  /// (key, tie) lexicographic order makes the heap a strict weak order
+  /// even when many ids share a key (e.g. +infinity).
   [[nodiscard]] bool before(std::size_t a, std::size_t b) const {
-    return key_[a] < key_[b] || (key_[a] == key_[b] && a < b);
+    return key_[a] < key_[b] || (key_[a] == key_[b] && tie_[a] < tie_[b]);
   }
 
   void sift_up(std::size_t i) {
@@ -138,6 +146,7 @@ class IndexedMinHeap {
   std::vector<std::size_t> heap_;  ///< heap of ids
   std::vector<std::size_t> pos_;   ///< id -> heap slot, npos when absent
   std::vector<double> key_;        ///< id -> key
+  std::vector<std::uint64_t> tie_; ///< id -> tie-break value
 };
 
 }  // namespace btmf::sim

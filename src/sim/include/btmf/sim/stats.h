@@ -15,6 +15,7 @@
 
 #include "btmf/math/stats.h"
 #include "btmf/obs/timeseries.h"
+#include "btmf/util/check.h"
 
 namespace btmf::sim {
 
@@ -91,10 +92,22 @@ class StatsCollector {
  public:
   explicit StatsCollector(unsigned num_classes);
 
-  /// Piecewise-constant population integration over [t, t+dt).
+  /// Piecewise-constant population integration over [t, t+dt). Runs once
+  /// per kernel event, so it is an inline loop over flat weighted sums;
+  /// every class shares one elapsed-time sum (the same dts in the same
+  /// order a per-class math::TimeAverage would add).
   void observe_populations(const std::vector<double>& downloaders_per_class,
                            const std::vector<double>& seeds_per_class,
-                           double dt);
+                           double dt) {
+    BTMF_ASSERT(downloaders_per_class.size() == num_classes_);
+    BTMF_ASSERT(seeds_per_class.size() == num_classes_);
+    if (dt <= 0.0) return;
+    for (unsigned k = 0; k < num_classes_; ++k) {
+      down_weighted_[k] += downloaders_per_class[k] * dt;
+      seed_weighted_[k] += seeds_per_class[k] * dt;
+    }
+    population_time_ += dt;
+  }
 
   void record_arrival(unsigned user_class);
 
@@ -119,8 +132,9 @@ class StatsCollector {
 
  private:
   unsigned num_classes_;
-  std::vector<math::TimeAverage> downloaders_;
-  std::vector<math::TimeAverage> seeds_;
+  std::vector<double> down_weighted_;  ///< sum of downloaders * dt per class
+  std::vector<double> seed_weighted_;  ///< sum of seeds * dt per class
+  double population_time_ = 0.0;       ///< sum of the observed dts
   std::vector<math::RunningStats> online_per_file_;
   std::vector<math::RunningStats> download_per_file_;
   std::vector<math::RunningStats> final_rho_;

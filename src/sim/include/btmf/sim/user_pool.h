@@ -11,14 +11,17 @@
 //
 // Identity and recycling
 // ----------------------
-// User ids are dense and stable for the lifetime of a row, and rows can
-// be recycled through a LIFO free list (the arena recycles the slot spans
-// length-stably). Every row carries the user's admission sequence number
+// User ids are dense and stable for the lifetime of a row. Every kernel,
+// serial or decomposed, releases a row when its user retires (or crashes
+// in a churn burst), and the next admission reuses it from a LIFO free
+// list (the arena recycles the slot spans length-stably), so the columns
+// stay sized to the peak live population rather than to every user ever
+// admitted. Every row carries the user's admission sequence number
 // `seq`; queue entries snapshot it, and a mismatch (the row was released,
 // and possibly re-tenanted) marks the entry stale before any slot column
 // is dereferenced. Event orderings tie-break on `seq` — admission order —
-// which is invariant under recycling, so recycled and non-recycled runs
-// dispatch simultaneous events identically.
+// never on the row id, so recycled and non-recycled runs dispatch
+// simultaneous events identically.
 //
 // SimUser is now a *view*: a bundle of references and spans over the
 // columns, constructed on demand by UserPool::view. Policies keep the
@@ -226,6 +229,17 @@ class UserPool {
   }
   [[nodiscard]] unsigned file(std::size_t ui, unsigned slot) const {
     return files_[off_[ui] + slot];
+  }
+  /// Column index of (ui, slot): unique among live slots and below
+  /// arena().capacity(), so per-slot scratch arrays can be indexed by it.
+  [[nodiscard]] std::size_t slot_index(std::size_t ui, unsigned slot) const {
+    return off_[ui] + slot;
+  }
+  [[nodiscard]] std::size_t gid(std::size_t ui, unsigned slot) const {
+    return gid_[off_[ui] + slot];
+  }
+  [[nodiscard]] double target(std::size_t ui, unsigned slot) const {
+    return target_[off_[ui] + slot];
   }
   [[nodiscard]] std::size_t& live_pos(std::size_t ui) {
     return live_pos_[ui];

@@ -755,7 +755,7 @@ class MfcdPolicy final : public TorrentPoolPolicy {
     const unsigned b = kernel_->bandwidth_class(ui);
     const double acc = set_integral(u, b, t);
     if (due(u.target[0], acc)) {
-      wakes_.set(ui, t);
+      wakes_.set(ui, t, u.seq);
       return;
     }
     double ub = 0.0;
@@ -768,7 +768,8 @@ class MfcdPolicy final : public TorrentPoolPolicy {
     }
     // Clamp outside the simultaneity window so a huge `ub` cannot pin the
     // wake at the current time and spin the policy-event loop.
-    wakes_.set(ui, t + std::max((u.target[0] - acc) / ub, 2.0 * kTimeEps));
+    wakes_.set(ui, t + std::max((u.target[0] - acc) / ub, 2.0 * kTimeEps),
+               u.seq);
   }
 
   /// Swap-removes (ui, slot) from its torrent's member list.
@@ -807,7 +808,9 @@ class MfcdPolicy final : public TorrentPoolPolicy {
   std::vector<double> bound_;       ///< ratcheted bound_{T,b} >= R_{T,b}
   /// T -> (ui, slot) of its current downloaders; positions live in gid.
   std::vector<std::vector<std::pair<std::size_t, unsigned>>> members_;
-  IndexedMinHeap wakes_;            ///< ui -> guaranteed-early wake time
+  /// ui -> guaranteed-early wake time. Simultaneous wakes pop in admission
+  /// order (tie = seq), which recycled row ids do not preserve.
+  IndexedMinHeap wakes_;
 };
 
 }  // namespace

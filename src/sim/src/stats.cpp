@@ -6,26 +6,14 @@ namespace btmf::sim {
 
 StatsCollector::StatsCollector(unsigned num_classes)
     : num_classes_(num_classes),
-      downloaders_(num_classes),
-      seeds_(num_classes),
+      down_weighted_(num_classes, 0.0),
+      seed_weighted_(num_classes, 0.0),
       online_per_file_(num_classes),
       download_per_file_(num_classes),
       final_rho_(num_classes),
       arrivals_(num_classes, 0),
       rho_series_(rho_recorder_.series("adapt.rho_mean")) {
   BTMF_CHECK_MSG(num_classes >= 1, "StatsCollector needs >= 1 class");
-}
-
-void StatsCollector::observe_populations(
-    const std::vector<double>& downloaders_per_class,
-    const std::vector<double>& seeds_per_class, double dt) {
-  BTMF_ASSERT(downloaders_per_class.size() == num_classes_);
-  BTMF_ASSERT(seeds_per_class.size() == num_classes_);
-  if (dt <= 0.0) return;
-  for (unsigned k = 0; k < num_classes_; ++k) {
-    downloaders_[k].add(downloaders_per_class[k], dt);
-    seeds_[k].add(seeds_per_class[k], dt);
-  }
 }
 
 void StatsCollector::record_arrival(unsigned user_class) {
@@ -70,8 +58,11 @@ SimResult StatsCollector::finalize(double measured_time,
     c.ci_online_per_file = online_per_file_[k].ci_halfwidth();
     c.mean_download_per_file = download_per_file_[k].mean();
     c.ci_download_per_file = download_per_file_[k].ci_halfwidth();
-    c.avg_downloaders = downloaders_[k].average();
-    c.avg_seeds = seeds_[k].average();
+    // Same quotient math::TimeAverage::average forms.
+    if (population_time_ > 0.0) {
+      c.avg_downloaders = down_weighted_[k] / population_time_;
+      c.avg_seeds = seed_weighted_[k] / population_time_;
+    }
     if (c.arrival_rate > 0.0) {
       c.little_download_time = c.avg_downloaders / c.arrival_rate;
       c.little_online_time =

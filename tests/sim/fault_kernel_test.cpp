@@ -1,11 +1,13 @@
 // Event-kernel edge cases, driven through purpose-built test policies:
-// the exact completion-vs-abort tie and the generation counters that
-// invalidate stale heap entries after a forced group move. Both run with
-// the paranoid auditor on, so any bookkeeping the scenarios corrupt
-// throws btmf::AuditError at the offending event.
+// the exact completion-vs-abort tie, the generation counters that
+// invalidate stale queue entries after a forced group move, and equal
+// service targets queued out of admission order. All run with the
+// paranoid auditor on, so any bookkeeping the scenarios corrupt throws
+// btmf::AuditError at the offending event.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "btmf/sim/event_kernel.h"
@@ -186,6 +188,85 @@ TEST(FaultKernelTest, StaleEntriesAfterForcedMoveAreInvalidated) {
   EXPECT_GT(policy.admitted(), 10u);
   EXPECT_EQ(policy.completions() + r.censored_users, policy.admitted());
   EXPECT_EQ(r.total_users, policy.completions());
+}
+
+/// Queues equal service targets out of admission order. The group's rate
+/// stays 0 until kRelease, so every download started before then owes the
+/// identical target 0 + 1. Each odd admission also restarts the previous
+/// user's download, which queues that user's equal target (smaller seq)
+/// behind the newcomer's. Once the rate turns on, all of them fall due at
+/// the same instant and must complete in (target, seq, slot) order, i.e.
+/// by ascending admission seq.
+class EqualTargetPolicy : public SchemePolicy {
+ public:
+  static constexpr double kRelease = 20.0;
+
+  void on_arrival(std::size_t ui, double t) override {
+    if (group_ == kNone) group_ = kernel_->new_group(t);
+    kernel_->begin_service(ui, 0, group_, 1.0, t);
+    if (!released_ && admitted_ % 2 == 1) {
+      kernel_->end_service(prev_, 0);
+      kernel_->begin_service(prev_, 0, group_, 1.0, t);
+    }
+    kernel_->add_active_peers(1);
+    kernel_->down_pop()[0] += 1.0;
+    if (!released_) ++held_;
+    prev_ = ui;
+    ++admitted_;
+  }
+
+  void refresh_rates(double t) override {
+    if (!released_ && t >= kRelease) {
+      kernel_->set_group_rate(group_, 1.0, t);
+      released_ = true;
+    }
+  }
+
+  void on_complete(std::size_t ui, unsigned slot, double t) override {
+    SimUser u = kernel_->user(ui);
+    order_.push_back(u.seq);
+    u.state[slot] = SlotState::kIdle;
+    kernel_->down_pop()[0] -= 1.0;
+    kernel_->remove_active_peers(1);
+    kernel_->retire_user(ui, t, t - u.arrival, 0.0, false);
+  }
+
+  void on_abort(std::size_t, unsigned, double) override {
+    ADD_FAILURE() << "abort_rate is 0 in this test";
+  }
+  void on_seed_departure(std::size_t, unsigned, double) override {
+    ADD_FAILURE() << "this policy never seeds";
+  }
+  [[nodiscard]] double little_divisor(double files) const override {
+    return files;
+  }
+
+  [[nodiscard]] std::size_t held() const { return held_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& order() const {
+    return order_;
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t group_ = kNone;
+  std::size_t prev_ = kNone;
+  bool released_ = false;
+  std::size_t admitted_ = 0;
+  std::size_t held_ = 0;
+  std::vector<std::uint64_t> order_;
+};
+
+TEST(FaultKernelTest, EqualTargetsCompleteInAdmissionOrder) {
+  const SimConfig c = one_file_config();  // paranoid audit every round
+  EqualTargetPolicy policy;
+  EventKernel kernel(c, policy);
+  kernel.run();
+  ASSERT_GT(policy.held(), 10u);
+  ASSERT_GE(policy.order().size(), policy.held());
+  // The held downloads are admissions 0 .. held-1, all due together.
+  for (std::size_t i = 0; i < policy.held(); ++i) {
+    EXPECT_EQ(policy.order()[i], i);
+  }
 }
 
 }  // namespace
