@@ -150,6 +150,30 @@ INSTANTIATE_TEST_SUITE_P(
       return name + (tpi.param.with_faults ? "Faulted" : "Clean");
     });
 
+// Events of different torrents can fall a few ulps apart. One kernel that
+// holds every torrent must still dispatch each at its own time, exactly
+// as separate shards do; a kernel that batched events within 1e-12 of
+// each other gave shards = 1 a different avg_online_per_file on this cell
+// (K = 10, lambda0 = 9 hits such near-ties within a few hundred time
+// units; the K = 4 configs above do not).
+TEST(ScaleDeterminismTest, NearSimultaneousTorrentEventsIgnoreShardLayout) {
+  SimConfig base;
+  base.scheme = fluid::SchemeKind::kMtcd;
+  base.num_files = 10;
+  base.correlation = 0.7;
+  base.visit_rate = 9.0;
+  base.horizon = 400.0;
+  base.warmup = 100.0;
+  base.seed = 1;
+  const SimResult reference = run_simulation(base);  // shards = 1
+  for (const unsigned shards : {2U, 4U}) {
+    SimConfig c = base;
+    c.shards = shards;
+    expect_bit_identical(reference, run_simulation(c),
+                         "shards=" + std::to_string(shards));
+  }
+}
+
 // The paranoid auditor must hold across the epoch barriers too: every
 // invariant walk (per-shard heaps, live lists, population pools, and the
 // cross-shard epoch clock) runs at each barrier without tripping.
