@@ -33,17 +33,6 @@ inline std::size_t peak_rss_bytes() {
   return kib * 1024;
 }
 
-/// Resets the kernel's peak-RSS water mark (writes "5" to
-/// /proc/self/clear_refs) so per-phase peaks can be measured in one
-/// process. Returns false when the platform refuses; peak_rss_bytes()
-/// then reports the process-lifetime high water mark instead.
-inline bool reset_peak_rss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs("5", f) >= 0;
-  return (std::fclose(f) == 0) && ok;
-}
-
 inline void emit(const util::Table& table, const std::string& caption,
                  const std::string& csv_path) {
   std::cout << "\n== " << caption << " ==\n\n";

@@ -9,8 +9,9 @@
 // table reports the kernel's recovery observability counters — peers
 // killed, re-admissions and their queue peak, the time the swarm needed to
 // regain its pre-fault population — plus the resulting quality-of-service
-// hit. `--json <path>` records the rows for regression tracking against
-// the committed BENCH_faults.json baseline.
+// hit. `--json <path>` records the rows; a full run reproduces the
+// committed BENCH_faults.json byte for byte (the churn_sweep_golden ctest
+// entry checks it).
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -13,8 +13,8 @@
 // torrent, a flash crowd of class-K users injected at t = 0, and a trickle
 // of Poisson arrivals behind them. Rows average over a few RNG seeds so a
 // single lucky optimistic unchoke cannot decide the table. `--json <path>`
-// records the rows for regression tracking against the committed
-// BENCH_chunk.json baseline; `--smoke` shrinks the run for CI.
+// records the rows; a full run reproduces the committed BENCH_chunk.json
+// byte for byte (the perf_chunk_golden ctest entry checks it).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -57,14 +57,10 @@ int main(int argc, char** argv) {
   parser.add_option("seeds", "3", "RNG seeds averaged per row");
   parser.add_option("suppression", "0.9", "mode-suppression probability");
   parser.add_option("json", "", "also dump rows as JSON to this path");
-  parser.add_flag("smoke", "CI-sized run: fewer seeds, shorter horizon");
   if (!parser.parse(argc, argv)) return 0;
 
-  const bool smoke = parser.get_flag("smoke");
-  const int num_seeds =
-      smoke ? 1 : static_cast<int>(parser.get_int("seeds"));
-  const double horizon =
-      smoke ? 800.0 : parser.get_double("horizon");
+  const int num_seeds = static_cast<int>(parser.get_int("seeds"));
+  const double horizon = parser.get_double("horizon");
 
   const std::vector<Row> rows{
       {"rarest-first", sim::PiecePolicy::kRarestFirst, 0.0},

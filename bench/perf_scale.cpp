@@ -1,34 +1,20 @@
 // Scale gate for the sharded kernel: a flash-crowd MTCD workload whose
-// live population crosses ten million concurrent peer units, plus a
-// thread-scaling projection of aggregate event throughput.
+// live population crosses ten million concurrent peer units, run over
+// --shards shards at 1, 2 and 4 kernel threads and once unsharded.
 //
-// Methodology (honest numbers on a small container)
-// -------------------------------------------------
-// This repository's CI box exposes a single CPU, so "events/s at T
-// threads" cannot be measured directly. Instead the bench runs the
-// sharded kernel inline (kernel_threads = 1), measures the run's CPU
-// time with CLOCK_THREAD_CPUTIME_ID (exact for an inline run: every
-// shard executes on the calling thread), apportions that CPU time across
-// shards by their event counts (the `sim.kernel.shard<N>.events` obs
-// counters), and projects the T-thread makespan with an LPT (longest
-// processing time first) list schedule of the per-shard work onto T
-// workers. Epoch barriers divide every shard's work uniformly, so the
-// barrier-aware makespan equals the LPT makespan of the per-shard
-// totals. The projection is a model, and BENCH_scale.json labels it as
-// such; determinism (tests/sim/shard_determinism_test.cpp) guarantees
-// the answer a real T-thread box computes is bit-identical — only the
-// wall clock is projected here.
-//
-// --smoke shrinks the workload to a CI-sized run (seconds, no 10M
-// claim) while still exercising every stage, including the JSON shape.
-#include <ctime>
-
-#include <algorithm>
+// Every run's wall time is measured around sim::run_simulation, and the
+// four SimResults must be bit-identical: shards and kernel_threads are
+// execution knobs that never change an answer (docs/SCALE.md). A full
+// run peaks at ~4 GB RSS. --smoke shrinks the arrival rate to a CI-sized
+// run (seconds, no 10M claim) that still exercises every stage, the JSON
+// shape included.
 #include <cstdint>
-#include <functional>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -37,36 +23,52 @@
 
 namespace {
 
-/// CPU time of the calling thread, in seconds.
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
+using namespace btmf;
+
+/// Every field but the wall clock, for an exact run-vs-run comparison.
+auto fields(const sim::SimResult& r) {
+  return std::tie(r.avg_online_per_file, r.avg_download_per_file,
+                  r.avg_online_per_user, r.measured_time, r.total_users,
+                  r.total_arrivals, r.censored_users, r.aborted_users,
+                  r.events_processed, r.rate_epochs, r.peak_live_peers,
+                  r.faults_injected, r.downloads_killed, r.arrivals_dropped,
+                  r.arrivals_queued, r.readmissions,
+                  r.readmission_queue_peak, r.time_to_recover,
+                  r.faults_unrecovered, r.rho_trajectory_time,
+                  r.rho_trajectory_mean, r.population_time,
+                  r.downloaders_trajectory, r.seeds_trajectory);
 }
 
-/// LPT list-schedule makespan of `work` on `machines` workers.
-double lpt_makespan(std::vector<double> work, unsigned machines) {
-  std::sort(work.begin(), work.end(), std::greater<double>());
-  std::vector<double> load(machines, 0.0);
-  for (const double w : work) {
-    *std::min_element(load.begin(), load.end()) += w;
-  }
-  return *std::max_element(load.begin(), load.end());
+bool same_result(const sim::SimResult& a, const sim::SimResult& b) {
+  // PerClassResult is one count and ten doubles, without padding, so its
+  // bytes are its bits.
+  static_assert(sizeof(sim::PerClassResult) ==
+                sizeof(std::size_t) + 10 * sizeof(double));
+  return fields(a) == fields(b) && a.classes.size() == b.classes.size() &&
+         std::memcmp(a.classes.data(), b.classes.data(),
+                     a.classes.size() * sizeof(sim::PerClassResult)) == 0;
 }
+
+struct Run {
+  unsigned shards = 0;
+  unsigned threads = 0;
+  double wall_s = 0.0;
+  sim::SimResult result;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace btmf;
   util::ArgParser parser = bench::make_parser(
-      "perf_scale", "Sharded-kernel scale gate: 10M+ peers, events/s vs threads");
-  parser.add_option("shards", "8", "torrent shards for the measured run");
+      "perf_scale",
+      "Sharded-kernel scale gate: 10M+ peers, wall time vs threads");
+  parser.add_option("shards", "8", "torrent shards for the threaded runs");
   parser.add_option("json", "", "dump the scale record as JSON to this path");
   parser.add_flag("smoke", "CI-sized run: seconds of work, no 10M-peer claim");
   if (!parser.parse(argc, argv)) return 0;
 
   const bool smoke = parser.get_flag("smoke");
+  const auto shards = static_cast<unsigned>(parser.get_int("shards"));
 
   // Flash crowd: every user requests all K files (p = 1), arrivals are
   // hot, downloads are fast (hot upload capacity), and seeds linger
@@ -83,18 +85,24 @@ int main(int argc, char** argv) {
   config.horizon = 60.0;
   config.warmup = 15.0;
   config.seed = 31337;
-  config.shards = static_cast<unsigned>(parser.get_int("shards"));
-  config.kernel_threads = 1;  // inline: thread CPU time covers every shard
   config.max_active_peers = 50'000'000;
 
+  // The first run also exports its per-shard event counts.
+  const std::pair<unsigned, unsigned> layouts[] = {
+      {shards, 1}, {shards, 2}, {shards, 4}, {1, 1}};
   obs::MetricsRegistry metrics;
-  config.obs.metrics = &metrics;
-
-  bench::reset_peak_rss();
-  const double cpu0 = thread_cpu_seconds();
-  const sim::SimResult r = sim::run_simulation(config);
-  const double cpu = thread_cpu_seconds() - cpu0;
+  std::vector<Run> runs;
+  for (const auto& [run_shards, threads] : layouts) {
+    sim::SimConfig run_config = config;
+    run_config.shards = run_shards;
+    run_config.kernel_threads = threads;
+    if (runs.empty()) run_config.obs.metrics = &metrics;
+    const util::Stopwatch timer;
+    sim::SimResult result = sim::run_simulation(run_config);
+    runs.push_back({run_shards, threads, timer.seconds(), std::move(result)});
+  }
   const std::size_t rss = bench::peak_rss_bytes();
+  const sim::SimResult& r = runs.front().result;
 
   const obs::MetricsSnapshot snap = metrics.snapshot();
   std::vector<std::uint64_t> shard_events;
@@ -104,46 +112,31 @@ int main(int argc, char** argv) {
     if (it == snap.counters.end()) break;
     shard_events.push_back(it->second);
   }
-  std::uint64_t shard_total = 0;
-  for (const std::uint64_t e : shard_events) shard_total += e;
 
-  // Apportion measured CPU across shards by event share, then project
-  // the makespan for each thread count with an LPT list schedule.
-  std::vector<double> shard_cpu;
-  for (const std::uint64_t e : shard_events) {
-    shard_cpu.push_back(shard_total == 0 ? 0.0
-                                         : cpu * static_cast<double>(e) /
-                                               static_cast<double>(shard_total));
-  }
-
-  util::Table table({"threads", "makespan s (LPT)", "events/s (model)"});
+  util::Table table({"shards", "threads", "wall s", "events/s"});
   table.set_precision(3);
-  std::vector<std::string> scaling_rows;
-  double prev_rate = 0.0;
-  bool monotone = true;
-  for (const unsigned threads : {1U, 2U, 4U}) {
-    const double makespan = lpt_makespan(shard_cpu, threads);
+  std::string rows;
+  bool identical = true;
+  for (const Run& run : runs) {
     const double rate =
-        makespan > 0.0 ? static_cast<double>(r.events_processed) / makespan
-                       : 0.0;
-    monotone = monotone && rate >= prev_rate;
-    prev_rate = rate;
-    table.add_row({static_cast<double>(threads), makespan, rate});
+        static_cast<double>(run.result.events_processed) / run.wall_s;
+    table.add_row({static_cast<double>(run.shards),
+                   static_cast<double>(run.threads), run.wall_s, rate});
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"threads\": %u, \"makespan_s\": %.4f, "
+                  "%s    {\"shards\": %u, \"threads\": %u, \"wall_s\": %.3f, "
                   "\"events_per_sec\": %.0f}",
-                  threads, makespan, rate);
-    scaling_rows.emplace_back(buf);
+                  rows.empty() ? "" : ",\n", run.shards, run.threads,
+                  run.wall_s, rate);
+    rows += buf;
+    identical = identical && same_result(run.result, r);
   }
 
-  bench::emit(table, "Sharded kernel thread-scaling (LPT projection)",
-              parser.get("csv"));
+  bench::emit(table, "Sharded kernel wall time (measured)", parser.get("csv"));
   std::printf("peak live peers : %zu%s\n", r.peak_live_peers,
               smoke ? " (smoke run; the 10M gate applies to full runs)" : "");
-  std::printf("events          : %zu over %u shards\n", r.events_processed,
-              config.shards);
-  std::printf("serial CPU      : %.3f s   peak RSS: %.1f MiB\n", cpu,
+  std::printf("events          : %zu   peak RSS: %.1f MiB\n",
+              r.events_processed,
               static_cast<double>(rss) / (1024.0 * 1024.0));
 
   bool ok = true;
@@ -152,8 +145,9 @@ int main(int argc, char** argv) {
                  r.peak_live_peers);
     ok = false;
   }
-  if (!monotone) {
-    std::fprintf(stderr, "FAIL: modeled events/s not monotone in threads\n");
+  if (!identical) {
+    std::fprintf(stderr,
+                 "FAIL: the SimResult changed with shards or threads\n");
     ok = false;
   }
 
@@ -166,30 +160,23 @@ int main(int argc, char** argv) {
         << config.num_files << ", \"p\": 1.0, \"lambda0\": "
         << config.visit_rate << ", \"gamma\": " << config.fluid.gamma
         << ", \"horizon\": " << config.horizon << ", \"seed\": "
-        << config.seed << ", \"shards\": " << config.shards
-        << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n";
-    char buf[256];
+        << config.seed << ", \"smoke\": " << (smoke ? "true" : "false")
+        << "},\n";
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "  \"peak_live_peers\": %zu,\n  \"events\": %zu,\n"
-                  "  \"serial_cpu_s\": %.3f,\n  \"peak_rss_bytes\": %zu,\n",
-                  r.peak_live_peers, r.events_processed, cpu, rss);
-    out << buf;
-    out << "  \"shard_events\": [";
+                  "  \"peak_rss_bytes\": %zu,\n",
+                  r.peak_live_peers, r.events_processed, rss);
+    out << buf << "  \"shard_events\": [";
     for (std::size_t s = 0; s < shard_events.size(); ++s) {
       out << (s == 0 ? "" : ", ") << shard_events[s];
     }
-    out << "],\n"
-        << "  \"thread_scaling\": [\n";
-    for (std::size_t i = 0; i < scaling_rows.size(); ++i) {
-      out << scaling_rows[i] << (i + 1 < scaling_rows.size() ? ",\n" : "\n");
-    }
-    out << "  ],\n"
-        << "  \"methodology\": \"Inline run on one thread; CPU measured "
-           "with CLOCK_THREAD_CPUTIME_ID, apportioned across shards by "
-           "event count, T-thread makespan projected by LPT list "
-           "schedule (epoch barriers split shard work uniformly). The "
-           "simulation RESULT is bit-identical at any threads/shards "
-           "setting; only the wall clock is modeled.\"\n"
+    out << "],\n  \"runs\": [\n"
+        << rows << "\n  ],\n"
+        << "  \"methodology\": \"One process runs the workload four times "
+           "in the order listed; wall_s is the steady-clock time of each "
+           "run_simulation call, and peak_rss_bytes is the process high "
+           "water mark. All four SimResults are bit-identical.\"\n"
         << "}\n";
     if (!out) {
       std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());

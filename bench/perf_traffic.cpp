@@ -7,9 +7,10 @@
 // headline download time plus the wall cost of each cell. Two things are
 // being guarded:
 //
-//  * correctness drift — the demand cells' headline numbers are tracked
-//    against the committed BENCH_traffic.json baseline, so a thinning or
-//    service-lane regression that shifts results shows up in review;
+//  * correctness drift — a full run reproduces the committed
+//    BENCH_traffic.json byte for byte (the perf_traffic_golden ctest
+//    entry checks it), so a thinning or service-lane regression that
+//    shifts results fails the suite;
 //  * the homogeneous tax — the Poisson rows measure the same scenarios
 //    the repo ran before the demand model existed, so their wall time is
 //    the price every legacy run pays for the new code paths (it should
@@ -18,8 +19,7 @@
 //
 // Unsupported (backend x demand) cells are printed as typed refusals —
 // the same contract the conformance matrix enforces — never skipped
-// silently. `--smoke` shrinks horizons and replications for CI;
-// `--json <path>` dumps the rows for regression tracking.
+// silently. `--json <path>` dumps the rows.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -52,13 +52,10 @@ int main(int argc, char** argv) {
   parser.add_option("horizon", "6000", "simulated end time per cell");
   parser.add_option("ereps", "8", "stochastic-epidemic replications");
   parser.add_option("json", "", "also dump rows as JSON to this path");
-  parser.add_flag("smoke", "CI-sized run: shorter horizon, fewer reps");
   if (!parser.parse(argc, argv)) return 0;
 
-  const bool smoke = parser.get_flag("smoke");
-  const double horizon = smoke ? 2000.0 : parser.get_double("horizon");
-  const unsigned ereps =
-      smoke ? 4 : static_cast<unsigned>(parser.get_int("ereps"));
+  const double horizon = parser.get_double("horizon");
+  const auto ereps = static_cast<unsigned>(parser.get_int("ereps"));
 
   const std::vector<DemandRow> demands{
       {"poisson", "poisson", ""},

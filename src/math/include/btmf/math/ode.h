@@ -1,11 +1,12 @@
-// Explicit ODE integrators: fixed-step Euler / Heun / RK4 and the adaptive
-// Dormand–Prince 5(4) pair with PI-free standard step control.
+// The adaptive Dormand–Prince 5(4) integrator with PI-free standard step
+// control: the one ODE solver behind the equilibrium finder and every
+// fluid transient.
 //
-// The BitTorrent fluid models are non-stiff (relaxation rates ~ mu, gamma,
-// both << 1 per time unit), so explicit methods with error control are the
-// right tool; the adaptive integrator is what the equilibrium finder and
-// all transient plots use, and the fixed-step methods exist mainly as
-// cross-checks and for the order-of-accuracy tests.
+// The BitTorrent fluid models relax at rates ~ mu, gamma (both << 1 per
+// time unit), so an explicit method with error control fits them over
+// short horizons. Over long ones (horizon * gamma in the thousands) the
+// slow tail is stiff: there dopri5's stability bound, not its accuracy,
+// sets the step.
 #pragma once
 
 #include <cstddef>
@@ -25,28 +26,6 @@ using OdeRhs =
 /// Observer invoked after each accepted step with (t, y); may be empty.
 using OdeObserver =
     std::function<void(double t, std::span<const double> y)>;
-
-/// One explicit Euler step (order 1).
-void euler_step(const OdeRhs& rhs, double t, double dt,
-                std::span<const double> y, std::span<double> y_out);
-
-/// One Heun (explicit trapezoid) step (order 2).
-void heun_step(const OdeRhs& rhs, double t, double dt,
-               std::span<const double> y, std::span<double> y_out);
-
-/// One classical Runge–Kutta step (order 4).
-void rk4_step(const OdeRhs& rhs, double t, double dt,
-              std::span<const double> y, std::span<double> y_out);
-
-enum class FixedStepMethod { kEuler, kHeun, kRk4 };
-
-/// Integrates y' = f from t0 to t1 with constant step dt (the final step is
-/// shortened to land exactly on t1). Returns y(t1).
-std::vector<double> integrate_fixed(const OdeRhs& rhs,
-                                    std::vector<double> y0, double t0,
-                                    double t1, double dt,
-                                    FixedStepMethod method,
-                                    const OdeObserver& observer = {});
 
 struct AdaptiveOptions {
   double rtol = 1e-8;          ///< relative tolerance

@@ -36,70 +36,6 @@ constexpr double kB4[7] = {5179.0 / 57600,  0.0,          7571.0 / 16695,
 
 }  // namespace
 
-void euler_step(const OdeRhs& rhs, double t, double dt,
-                std::span<const double> y, std::span<double> y_out) {
-  const std::size_t n = y.size();
-  std::vector<double> k(n);
-  rhs(t, y, k);
-  for (std::size_t i = 0; i < n; ++i) y_out[i] = y[i] + dt * k[i];
-}
-
-void heun_step(const OdeRhs& rhs, double t, double dt,
-               std::span<const double> y, std::span<double> y_out) {
-  const std::size_t n = y.size();
-  std::vector<double> k1(n), k2(n), mid(n);
-  rhs(t, y, k1);
-  for (std::size_t i = 0; i < n; ++i) mid[i] = y[i] + dt * k1[i];
-  rhs(t + dt, mid, k2);
-  for (std::size_t i = 0; i < n; ++i)
-    y_out[i] = y[i] + 0.5 * dt * (k1[i] + k2[i]);
-}
-
-void rk4_step(const OdeRhs& rhs, double t, double dt,
-              std::span<const double> y, std::span<double> y_out) {
-  const std::size_t n = y.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  rhs(t, y, k1);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * dt * k1[i];
-  rhs(t + 0.5 * dt, tmp, k2);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * dt * k2[i];
-  rhs(t + 0.5 * dt, tmp, k3);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + dt * k3[i];
-  rhs(t + dt, tmp, k4);
-  for (std::size_t i = 0; i < n; ++i) {
-    y_out[i] = y[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-  }
-}
-
-std::vector<double> integrate_fixed(const OdeRhs& rhs, std::vector<double> y0,
-                                    double t0, double t1, double dt,
-                                    FixedStepMethod method,
-                                    const OdeObserver& observer) {
-  BTMF_CHECK_MSG(dt > 0.0, "integrate_fixed: dt must be positive");
-  BTMF_CHECK_MSG(t1 >= t0, "integrate_fixed: t1 must be >= t0");
-  std::vector<double> y = std::move(y0);
-  std::vector<double> next(y.size());
-  double t = t0;
-  while (t < t1) {
-    const double step = std::min(dt, t1 - t);
-    switch (method) {
-      case FixedStepMethod::kEuler:
-        euler_step(rhs, t, step, y, next);
-        break;
-      case FixedStepMethod::kHeun:
-        heun_step(rhs, t, step, y, next);
-        break;
-      case FixedStepMethod::kRk4:
-        rk4_step(rhs, t, step, y, next);
-        break;
-    }
-    y.swap(next);
-    t += step;
-    if (observer) observer(t, y);
-  }
-  return y;
-}
-
 AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
                                 double t0, double t1,
                                 const AdaptiveOptions& options,

@@ -143,7 +143,8 @@ class ChunkSimBackend final : public Backend {
     if (spec.num_files == 1) {
       // A K = 1 scenario is a single torrent visited at rate lambda0 * p
       // under every scheme. This arm reproduces the pre-multi-file
-      // backend bit for bit (docs/REPRODUCTION.md gates on it).
+      // backend bit for bit; ChunkSimTest's K = 1 bit-identity case
+      // pins the engine underneath it.
       config.entry_rate = spec.visit_rate * spec.correlation;
       const sim::ChunkSimResult result = sim::run_chunk_sim(config);
 

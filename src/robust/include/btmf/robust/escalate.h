@@ -6,10 +6,9 @@
 // results the useful lever is the solver configuration itself, so the
 // supervisor exposes the attempt number and this hook maps it onto the
 // ScenarioSpec: each retry climbs one rung of a ladder that tightens the
-// ODE tolerances and gives the equilibrium finder more transient chunks —
-// the same shape as find_equilibrium's *internal* escalation ladder
-// (math/equilibrium.h), extended to the failures that ladder cannot see
-// (it never reruns the ODE integration itself with tighter tolerances).
+// ODE tolerances and raises the step budget of spec.solver.ode, the part
+// of the solver options a backend reads (fluid-transient integrates with
+// it; fluid-equilibrium's CMFSD root reads only solver.residual_tol).
 //
 // Determinism note: escalated specs produce *different* (better) numbers
 // than the base spec would. The sweep engine therefore only uses this
@@ -24,8 +23,7 @@ namespace btmf::robust {
 
 /// Returns `spec` hardened for retry `attempt` (0 = unchanged). Each rung
 /// divides the ODE rtol/atol by 100 (floored at 1e-13/1e-14 — below that
-/// RK45 step sizes underflow in double) and adds equilibrium transient
-/// budget: +50% max_chunks, +1 allowed escalation via longer chunk_time.
+/// RK45 step sizes underflow in double) and grants +50% ODE max_steps.
 /// Idempotent in the sense that rung r is a pure function of (spec, r).
 [[nodiscard]] model::ScenarioSpec escalate_spec(
     const model::ScenarioSpec& spec, unsigned attempt);

@@ -12,8 +12,6 @@ model::ScenarioSpec escalate_spec(const model::ScenarioSpec& spec,
     solver.ode.rtol = std::max(solver.ode.rtol / 100.0, 1e-13);
     solver.ode.atol = std::max(solver.ode.atol / 100.0, 1e-14);
     solver.ode.max_steps += solver.ode.max_steps / 2;
-    solver.max_chunks += solver.max_chunks / 2;
-    solver.chunk_time *= 1.5;
   }
   return hardened;
 }

@@ -140,9 +140,10 @@ struct SimConfig {
 
   /// Runs the paranoid invariant auditor after every dispatched event
   /// round (service-group integrals, indexed-heap cross-references, live
-  /// list, policy pool recounts); throws btmf::AuditError at the event
-  /// that corrupted state. Expensive — meant for tests and debugging.
-  /// Compiling with -DBTMF_PARANOID forces this on for every run.
+  /// list, policy pool recounts) and, in a sharded run, the clock check at
+  /// every epoch barrier; throws btmf::AuditError at the event that
+  /// corrupted state. Expensive — meant for tests and debugging.
+  /// Compiling with -DBTMF_PARANOID forces this on (auditor_enabled).
   bool paranoid = false;
 
   /// Request probability of file f under this configuration.
@@ -153,5 +154,11 @@ struct SimConfig {
   /// Throws btmf::ConfigError on out-of-range values.
   void validate() const;
 };
+
+/// Whether a simulator runs its invariant auditor: `requested` (the
+/// config's `paranoid` field), or always in a library compiled with
+/// -DBTMF_PARANOID. The event kernel, the sharded kernel's epoch-barrier
+/// audit and chunk-sim's slot auditor all decide here.
+[[nodiscard]] bool auditor_enabled(bool requested);
 
 }  // namespace btmf::sim

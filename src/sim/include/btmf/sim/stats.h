@@ -50,8 +50,9 @@ struct SimResult {
   std::size_t censored_users = 0;    ///< still active at the horizon
   std::size_t aborted_users = 0;     ///< left before completing (theta > 0)
 
-  // Per-run observability counters (see bench/perf_sim.cpp). Everything
-  // except wall_clock_seconds is deterministic for a fixed seed.
+  // Per-run observability counters (perfbench reports them as
+  // sim.kernel.*). Everything except wall_clock_seconds is deterministic
+  // for a fixed seed.
   std::size_t events_processed = 0;  ///< kernel dispatch rounds
   std::size_t rate_epochs = 0;       ///< group-rate invalidations
   std::size_t peak_live_peers = 0;   ///< max concurrent peer units

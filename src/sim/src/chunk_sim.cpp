@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "btmf/math/stats.h"
+#include "btmf/sim/config.h"
 #include "btmf/sim/rng.h"
 #include "btmf/util/check.h"
 #include "btmf/util/error.h"
@@ -242,10 +243,7 @@ void ChunkSimConfig::validate() const {
 
 ChunkSimResult run_chunk_sim(const ChunkSimConfig& config) {
   config.validate();
-  bool paranoid = config.paranoid;
-#ifdef BTMF_PARANOID
-  paranoid = true;
-#endif
+  const bool paranoid = auditor_enabled(config.paranoid);
   const unsigned files = config.num_files;
   const unsigned chunks = config.num_chunks;
   const fluid::SchemeKind scheme = config.scheme;

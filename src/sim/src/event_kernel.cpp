@@ -62,10 +62,7 @@ EventKernel::EventKernel(const SimConfig& config, SchemePolicy& policy,
   // events of different torrents a few ulps apart would make the result
   // depend on which torrents share a shard.
   dispatch_eps_ = shard_.decomposed ? 0.0 : kTimeEps;
-  paranoid_ = cfg_.paranoid;
-#ifdef BTMF_PARANOID
-  paranoid_ = true;
-#endif
+  paranoid_ = auditor_enabled(cfg_.paranoid);
   build_fault_timeline();
 
   if (shard_.decomposed) {

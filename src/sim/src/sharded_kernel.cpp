@@ -36,6 +36,7 @@ SimResult ShardedKernel::run() {
   // a non-empty plan as a typed configuration error.
   const unsigned num_shards =
       std::min(std::max(1U, cfg_.shards), cfg_.num_files);
+  const bool paranoid = auditor_enabled(cfg_.paranoid);
 
   // Shard kernels observe nothing themselves: their sample series and
   // counters surface through ShardOutput and are exported once, merged,
@@ -110,14 +111,15 @@ SimResult ShardedKernel::run() {
     for (const double s : task_s) sum += s;
     barrier_wait_s += static_cast<double>(num_shards) * slowest - sum;
 
-    if (cfg_.paranoid) {
+    if (paranoid) {
       for (unsigned s = 0; s < num_shards; ++s) {
         if (kernels[s]->current_time() != t_end) {
-          throw AuditError(
-              "sharded epoch barrier audit failed: shard " +
-              std::to_string(s) + " paused at t=" +
-              std::to_string(kernels[s]->current_time()) +
-              " instead of the epoch boundary " + std::to_string(t_end));
+          std::ostringstream os;
+          os.precision(17);  // a clock one ulp short must read differently
+          os << "sharded epoch barrier audit failed: shard " << s
+             << " paused at t=" << kernels[s]->current_time()
+             << " instead of the epoch boundary " << t_end;
+          throw AuditError(os.str());
         }
       }
     }

@@ -15,6 +15,15 @@
 
 namespace btmf::sim {
 
+bool auditor_enabled(bool requested) {
+#ifdef BTMF_PARANOID
+  (void)requested;
+  return true;
+#else
+  return requested;
+#endif
+}
+
 void SimConfig::validate() const {
   BTMF_CHECK_MSG(num_files >= 1, "num_files must be >= 1");
   BTMF_CHECK_MSG(correlation >= 0.0 && correlation <= 1.0,

@@ -21,63 +21,6 @@ const OdeRhs kOscillator = [](double, std::span<const double> y,
   d[1] = -y[0];
 };
 
-double decay_error(FixedStepMethod method, double dt) {
-  const std::vector<double> y =
-      integrate_fixed(kDecay, {1.0}, 0.0, 1.0, dt, method);
-  return std::abs(y[0] - std::exp(-1.0));
-}
-
-TEST(FixedStepTest, EulerFirstOrderConvergence) {
-  const double e1 = decay_error(FixedStepMethod::kEuler, 0.01);
-  const double e2 = decay_error(FixedStepMethod::kEuler, 0.005);
-  const double order = std::log2(e1 / e2);
-  EXPECT_NEAR(order, 1.0, 0.1);
-}
-
-TEST(FixedStepTest, HeunSecondOrderConvergence) {
-  const double e1 = decay_error(FixedStepMethod::kHeun, 0.02);
-  const double e2 = decay_error(FixedStepMethod::kHeun, 0.01);
-  EXPECT_NEAR(std::log2(e1 / e2), 2.0, 0.1);
-}
-
-TEST(FixedStepTest, Rk4FourthOrderConvergence) {
-  const double e1 = decay_error(FixedStepMethod::kRk4, 0.1);
-  const double e2 = decay_error(FixedStepMethod::kRk4, 0.05);
-  EXPECT_NEAR(std::log2(e1 / e2), 4.0, 0.2);
-}
-
-TEST(FixedStepTest, FinalStepLandsExactlyOnT1) {
-  // dt does not divide the interval; the final (shortened) step must land
-  // on t1 = 1 rather than overshooting to 1.2.
-  const std::vector<double> y =
-      integrate_fixed(kDecay, {1.0}, 0.0, 1.0, 0.3, FixedStepMethod::kRk4);
-  // RK4 truncation error at dt = 0.3 is ~3e-5; an overshoot to t = 1.2
-  // would be off by ~6e-2.
-  EXPECT_NEAR(y[0], std::exp(-1.0), 1e-4);
-}
-
-TEST(FixedStepTest, ObserverSeesMonotoneTimes) {
-  double last_t = 0.0;
-  std::size_t calls = 0;
-  integrate_fixed(kDecay, {1.0}, 0.0, 1.0, 0.25, FixedStepMethod::kEuler,
-                  [&](double t, std::span<const double>) {
-                    EXPECT_GT(t, last_t);
-                    last_t = t;
-                    ++calls;
-                  });
-  EXPECT_EQ(calls, 4u);
-  EXPECT_DOUBLE_EQ(last_t, 1.0);
-}
-
-TEST(FixedStepTest, InvalidArgumentsThrow) {
-  EXPECT_THROW(
-      integrate_fixed(kDecay, {1.0}, 0.0, 1.0, 0.0, FixedStepMethod::kRk4),
-      ConfigError);
-  EXPECT_THROW(
-      integrate_fixed(kDecay, {1.0}, 1.0, 0.0, 0.1, FixedStepMethod::kRk4),
-      ConfigError);
-}
-
 TEST(Dopri5Test, MatchesExponentialDecay) {
   AdaptiveOptions options;
   options.rtol = 1e-10;

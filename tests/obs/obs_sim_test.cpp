@@ -127,11 +127,21 @@ TEST(ObsSim, KernelTraceParsesWithDispatchSpans) {
   SimConfig c = base_config();
   c.obs.trace = &trace;
   c.obs.trace_batch = 256;
-  run_simulation(c);
+  const SimResult r = run_simulation(c);
   EXPECT_GT(trace.event_count(), 0u);
   const std::string json = trace.to_json();
   EXPECT_TRUE(obs::test::json_parses(json));
-  EXPECT_NE(json.find("\"kernel.dispatch\""), std::string::npos);
+  // One span per trace_batch dispatch rounds, plus the final partial
+  // one: the sink's work per event stays a counter bump.
+  std::size_t spans = 0;
+  for (std::size_t at = json.find("\"kernel.dispatch\"");
+       at != std::string::npos;
+       at = json.find("\"kernel.dispatch\"", at + 1)) {
+    ++spans;
+  }
+  const std::size_t batch = c.obs.trace_batch;
+  EXPECT_GT(spans, 0u);
+  EXPECT_LE(spans, (r.events_processed + batch - 1) / batch + 1);
 }
 
 TEST(ObsSim, ChunkSimFillsItsSinks) {

@@ -112,9 +112,10 @@ TEST_F(ServeDaemonTest, ColdCacheSurvivesARestartViaTheDisk) {
 }
 
 TEST_F(ServeDaemonTest, NIdenticalConcurrentRequestsCostOneEvaluation) {
-  constexpr int kClients = 8;
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kRounds = 3;
   DaemonOptions options = base_options("coalesce");
-  std::atomic<int> evaluations{0};
+  std::atomic<std::size_t> evaluations{0};
   options.eval = [&](const std::string& backend,
                      const model::ScenarioSpec& spec) {
     evaluations.fetch_add(1);
@@ -124,32 +125,66 @@ TEST_F(ServeDaemonTest, NIdenticalConcurrentRequestsCostOneEvaluation) {
   Daemon daemon(options);
   daemon.start();
 
-  std::vector<EvalReply> replies(kClients);
-  {
+  // Each round, every client sends the same fresh spec at once.
+  std::vector<std::vector<EvalReply>> replies(
+      kRounds, std::vector<EvalReply>(kClients));
+  for (std::size_t r = 0; r < kRounds; ++r) {
     std::vector<std::thread> clients;
     clients.reserve(kClients);
-    for (int i = 0; i < kClients; ++i) {
-      clients.emplace_back([&, i] {
+    for (std::size_t i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, r, i] {
         Client client = Client::connect(daemon.endpoint());
-        replies[static_cast<std::size_t>(i)] =
-            client.evaluate("fluid-equilibrium", quick_spec());
+        replies[r][i] = client.evaluate("fluid-equilibrium", quick_spec(r));
       });
     }
     for (auto& thread : clients) thread.join();
   }
 
-  EXPECT_EQ(evaluations.load(), 1)
+  EXPECT_EQ(evaluations.load(), kRounds)
       << "duplicate in-flight requests must coalesce onto one computation";
-  for (const EvalReply& reply : replies) {
-    ASSERT_TRUE(reply.ok) << reply.message;
-    EXPECT_EQ(reply.values, replies[0].values)
-        << "every coalesced waiter must receive the identical result";
+  for (const std::vector<EvalReply>& round : replies) {
+    for (const EvalReply& reply : round) {
+      ASSERT_TRUE(reply.ok) << reply.message;
+      EXPECT_EQ(reply.values, round[0].values)
+          << "every coalesced waiter must receive the identical result";
+    }
   }
-  const obs::MetricsSnapshot snapshot = daemon.stats();
-  EXPECT_EQ(snapshot.counters.at("serve.evaluations"), 1u);
-  EXPECT_GE(snapshot.counters.at("serve.coalesced") +
-                snapshot.counters.at("serve.cache_hit"),
-            static_cast<std::uint64_t>(kClients - 1));
+  const obs::MetricsSnapshot cold = daemon.stats();
+  EXPECT_EQ(cold.counters.at("serve.evaluations"), kRounds);
+  EXPECT_GE(cold.counters.at("serve.coalesced") +
+                cold.counters.at("serve.cache_hit"),
+            kRounds * (kClients - 1));
+
+  // Warm: every client re-requests every round's spec. Each one is a
+  // cache hit carrying the round's result, and nothing evaluates again.
+  std::vector<std::vector<EvalReply>> warm(
+      kClients, std::vector<EvalReply>(kRounds));
+  {
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (std::size_t i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, i] {
+        Client client = Client::connect(daemon.endpoint());
+        for (std::size_t r = 0; r < kRounds; ++r) {
+          warm[i][r] = client.evaluate("fluid-equilibrium", quick_spec(r));
+        }
+      });
+    }
+    for (auto& thread : clients) thread.join();
+  }
+  for (const std::vector<EvalReply>& mine : warm) {
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      ASSERT_TRUE(mine[r].ok) << mine[r].message;
+      EXPECT_TRUE(mine[r].cached);
+      EXPECT_EQ(mine[r].values, replies[r][0].values);
+    }
+  }
+  const obs::MetricsSnapshot hot = daemon.stats();
+  EXPECT_EQ(evaluations.load(), kRounds);
+  EXPECT_EQ(hot.counters.at("serve.evaluations"), kRounds);
+  EXPECT_EQ(hot.counters.at("serve.cache_hit") -
+                cold.counters.at("serve.cache_hit"),
+            kRounds * kClients);
   daemon.drain();
 }
 

@@ -94,6 +94,29 @@ TEST(SweepEngine, ColdThenWarmCacheServesIdenticalResults) {
   // The warm run is also bit-identical to a cache-less run: serving from
   // disk is observationally equivalent to recomputing.
   expect_identical(run_sweep(spec), warm);
+
+  // Full supervision (deadline, retries, resume) on a warm cache does no
+  // work: every point is a hit, nothing computes, the journal gains no
+  // byte, and the result is bit-identical to the inert warm run.
+  std::atomic<int> computes{0};
+  SweepSpec counted = spec;
+  counted.compute = [&computes, compute = spec.compute](const GridPoint& p) {
+    computes.fetch_add(1);
+    return compute(p);
+  };
+  SweepOptions supervised = options;
+  supervised.robust.timeout_s = 30.0;
+  supervised.robust.retry.retries = 2;
+  supervised.resume = true;
+  const std::string journal =
+      sweep_journal_path(counted, options.cache_dir);
+  const std::uintmax_t journal_bytes = fs::file_size(journal);
+  const SweepResult guarded = run_sweep(counted, supervised);
+  EXPECT_EQ(guarded.cache_hits, 10u);
+  EXPECT_EQ(guarded.cache_misses, 0u);
+  EXPECT_EQ(computes.load(), 0);
+  EXPECT_EQ(fs::file_size(journal), journal_bytes);
+  expect_identical(warm, guarded);
 }
 
 TEST(SweepEngine, ResumesAfterInterruptWithPartialCache) {
