@@ -3,8 +3,8 @@
 //
 // Paper shape: for every p the surface is minimised at rho = 0; the
 // improvement over rho = 1 (which equals MFCD) grows with p. Each cell is
-// an independent 65-state ODE steady-state solve, sharded across the
-// thread pool (and cached with --cache-dir). The grid and claim checks
+// an independent 65-state ODE steady-state solve, fanned out over idle
+// cores (and cached with --cache-dir). The grid and claim checks
 // live in the `btmf_tool reproduce` registry; see fig_common.h.
 #include "fig_common.h"
 

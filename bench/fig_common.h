@@ -31,7 +31,7 @@ inline int run_figure_bench(const std::string& program,
                    "registration");
   parser.add_option("cache-dir", "",
                     "sweep point cache root ('' = uncached)");
-  parser.add_option("jobs", "0", "worker threads (0 = shared global pool)");
+  parser.add_option("jobs", "0", "cap on worker threads (0 = no cap)");
   if (!parser.parse(argc, argv)) return 0;
 
   sweep::ReproduceOptions options;

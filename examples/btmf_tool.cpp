@@ -74,7 +74,8 @@ void add_spec_options(util::ArgParser& parser,
                     "torrent shards for the sharded kernel (kernel-sim, "
                     "decomposable schemes; bit-identical for any value)");
   parser.add_option("kernel-threads", "1",
-                    "worker threads driving the shards (0 = one per core)");
+                    "cap on the threads driving the shards (0 = no cap; at "
+                    "most one per idle core)");
   parser.add_flag("list-backends",
                   "print the backend capability table and exit");
 }
@@ -95,9 +96,7 @@ model::ScenarioSpec spec_from_cli(const util::ArgParser& parser) {
     spec.bandwidth_classes = fluid::parse_classes(parser.get("classes"));
   }
   spec.shards = parser.get_count("shards");
-  const long long threads = parser.get_int("kernel-threads");
-  require(threads >= 0, "--kernel-threads must be non-negative");
-  spec.kernel_threads = static_cast<unsigned>(threads);
+  spec.kernel_threads = parser.get_count("kernel-threads", 0);
   return spec;
 }
 
@@ -367,10 +366,8 @@ void robust_options_from_cli(const util::ArgParser& parser,
                              bool* resume) {
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
-  const long long retries = parser.get_int("retries");
-  require(retries >= 0, "--retries must be non-negative");
   robust->timeout_s = timeout_s;
-  robust->retry.retries = static_cast<unsigned>(retries);
+  robust->retry.retries = parser.get_count("retries", 0);
   robust->isolate = parser.get_flag("isolate");
   // Fail at parse time, not per point: containment was explicitly asked
   // for, so a platform that cannot provide it must refuse, not degrade.
@@ -388,7 +385,9 @@ int cmd_sweep(int argc, const char* const* argv) {
   parser.add_option("csv", "", "save CSV here");
   parser.add_option("cache-dir", "",
                     "sweep point cache root ('' = uncached)");
-  parser.add_option("jobs", "0", "worker threads (0 = shared global pool)");
+  parser.add_option("jobs", "0",
+                    "cap on worker threads (0 = no cap; at most one per "
+                    "idle core)");
   add_robust_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   if (parser.get_flag("list-backends")) return list_backends();
@@ -543,12 +542,11 @@ int cmd_reproduce(int argc, const char* const* argv) {
   parser.add_option("figure", "all", "fig2|fig3|fig4a|fig4bc|adapt|all");
   parser.add_option("cache-dir", ".btmf-sweep-cache",
                     "sweep point cache root ('' = recompute everything)");
-  parser.add_option("jobs", "0", "worker threads (0 = shared global pool)");
+  parser.add_option("jobs", "0",
+                    "cap on worker threads (0 = no cap; at most one per "
+                    "idle core)");
   parser.add_option("report", "docs/REPRODUCTION.md",
                     "write the paper-vs-measured markdown here ('' = skip)");
-  parser.add_option("shards", "1",
-                    "kernel-sim sharding (bit-identical for any value; the "
-                    "report must not change)");
   add_robust_options(parser);
   if (!parser.parse(argc, argv)) return 0;
 
@@ -559,7 +557,6 @@ int cmd_reproduce(int argc, const char* const* argv) {
   options.cache_dir = parser.get("cache-dir");
   options.jobs = static_cast<std::size_t>(jobs);
   options.metrics = &metrics;
-  options.shards = parser.get_count("shards");
   robust::SupervisorOptions robust;
   robust_options_from_cli(parser, &robust, &options.resume);
   options.timeout_s = robust.timeout_s;
@@ -693,9 +690,7 @@ int cmd_serve(int argc, const char* const* argv) {
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
   options.robust.timeout_s = timeout_s;
-  const long long retries = parser.get_int("retries");
-  require(retries >= 0, "--retries must be non-negative");
-  options.robust.retry.retries = static_cast<unsigned>(retries);
+  options.robust.retry.retries = parser.get_count("retries", 0);
   options.robust.isolate = parser.get_flag("isolate");
   require(!options.robust.isolate || robust::isolation_supported(),
           "--isolate requires fork(), which this platform lacks");

@@ -93,7 +93,7 @@ struct ScenarioSpec {
   /// deliberately EXCLUDED from fingerprint(): a cached result computed
   /// at any sharding is valid for all of them.
   unsigned shards = 1;
-  unsigned kernel_threads = 1;        ///< 0 = one per hardware core
+  unsigned kernel_threads = 1;  ///< cap on shard workers; 0 = no cap
 
   /// Throws btmf::ConfigError on out-of-range values (scenario ranges,
   /// rho/cheaters/theta in [0, 1], warmup < horizon, fault plan).

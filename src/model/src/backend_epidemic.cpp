@@ -20,9 +20,9 @@
 // dozen peers in a torrent), so single sample paths are noisy; the
 // outcome is the mean over spec.epidemic_replications independent
 // replications with seeds derived via parallel::derive_seed. They run on
-// the calling thread plus idle cores (parallel::fan_out), each into its
-// own row, and the rows are summed in replication order, so the outcome
-// is bit-identical at any thread count.
+// idle cores (parallel::fan_out), each into its own row, and the rows
+// are summed in replication order, so the outcome is bit-identical at
+// any thread count.
 //
 // CMFSD is declared unsupported: the source paper gives no CTMC
 // counterpart for its stage-structured collaborative allocator, and
@@ -296,8 +296,8 @@ class StochasticEpidemicBackend final : public Backend {
     // Mean of the per-class time-averaged downloader populations across
     // replications; Little's law is applied to the mean (the estimators
     // share one denominator, so averaging populations first is the
-    // lower-variance order). Replication r writes row r, helpers
-    // included, into buffers allocated here.
+    // lower-variance order). Replication r writes row r, on whichever
+    // worker runs it, into buffers allocated here.
     const std::size_t classes = sequential ? 1 : k;
     const std::size_t replications = spec.epidemic_replications;
     std::vector<double> rows(replications * classes);

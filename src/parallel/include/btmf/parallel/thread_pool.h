@@ -1,21 +1,21 @@
 // Fixed-size work-queue thread pool.
 //
-// Parameter sweeps over the (p, rho) grid and Monte-Carlo simulation
-// replications are embarrassingly parallel; this pool keeps every sweep
-// deterministic (work items carry their own index / RNG stream) while
-// saturating the available cores.
+// No library code runs on it: sweeps, replications and kernel shards run
+// on parallel::fan_out (btmf/parallel/fan_out.h). It is kept for
+// perfbench's fluid-sweep set-up, which starts and joins one for its
+// cost alone.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "btmf/obs/metrics.h"
 
 namespace btmf::parallel {
 
@@ -45,19 +45,11 @@ class ThreadPool {
       }
       queue_.emplace([packaged] { (*packaged)(); });
     }
-    if (metrics_ != nullptr) metrics_->add(submitted_id_);
     cv_.notify_one();
     return result;
   }
 
   [[nodiscard]] std::size_t num_threads() const { return workers_.size(); }
-
-  /// Attaches a metrics registry (non-owning; nullptr detaches): every
-  /// submit bumps pool.tasks_submitted, every finished task
-  /// pool.tasks_completed. Attach before submitting — counters are read
-  /// by workers without further synchronisation (registry adds are
-  /// lock-free, but swapping registries mid-flight races the workers).
-  void attach_metrics(obs::MetricsRegistry* metrics);
 
  private:
   void worker_loop();
@@ -67,13 +59,6 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::MetricId submitted_id_ = 0;
-  obs::MetricId completed_id_ = 0;
 };
-
-/// Process-wide default pool, created on first use with one worker per core.
-ThreadPool& global_pool();
 
 }  // namespace btmf::parallel

@@ -23,49 +23,46 @@ std::atomic<std::ptrdiff_t>& idle() {
   return count;
 }
 
-/// The caller's core, taken unconditionally (it runs either way), plus
-/// up to `wanted` helper cores from those still idle, taken without
-/// blocking. All of them go back when the lease ends.
+/// One core per worker: the caller's, lent to worker 0 and taken
+/// unconditionally (the call runs either way), plus up to `wanted` - 1
+/// more from those still idle, taken without blocking. All of them go
+/// back when the lease ends.
 class CoreLease {
  public:
   explicit CoreLease(std::size_t wanted) {
     std::ptrdiff_t available = idle().fetch_sub(1) - 1;
     do {
-      helpers_ = std::clamp<std::ptrdiff_t>(
-          available, 0, static_cast<std::ptrdiff_t>(wanted));
-      if (helpers_ == 0) return;
-    } while (!idle().compare_exchange_weak(available, available - helpers_));
+      extra_ = std::clamp<std::ptrdiff_t>(
+          available, 0, static_cast<std::ptrdiff_t>(wanted) - 1);
+      if (extra_ == 0) return;
+    } while (!idle().compare_exchange_weak(available, available - extra_));
   }
   CoreLease(const CoreLease&) = delete;
   CoreLease& operator=(const CoreLease&) = delete;
-  ~CoreLease() { idle() += 1 + helpers_; }
+  ~CoreLease() { idle() += 1 + extra_; }
 
-  [[nodiscard]] std::size_t helpers() const {
-    return static_cast<std::size_t>(helpers_);
+  [[nodiscard]] std::size_t workers() const {
+    return 1 + static_cast<std::size_t>(extra_);
   }
 
  private:
-  std::ptrdiff_t helpers_ = 0;
+  std::ptrdiff_t extra_ = 0;
 };
 
 }  // namespace
 
 std::size_t fan_out_width(std::size_t n) { return std::min(n, cores()); }
 
-void fan_out(std::size_t n, const FanOutBody& body) {
-  detail::fan_out(n, fan_out_width(n), body);
-}
-
-namespace detail {
-
-std::ptrdiff_t idle_cores() { return idle().load(); }
+void fan_out(std::size_t n, const FanOutBody& body) { fan_out(n, 0, body); }
 
 void fan_out(std::size_t n, std::size_t max_workers, const FanOutBody& body) {
   if (n == 0) return;
-  // Outlives the helper threads, so no core returns to the count while a
-  // helper still runs on it.
-  const CoreLease lease(
-      std::min(fan_out_width(n), std::max<std::size_t>(1, max_workers)) - 1);
+  const std::size_t width = max_workers == 0
+                                ? fan_out_width(n)
+                                : std::min(fan_out_width(n), max_workers);
+  // Outlives the workers, so no core returns to the count while a worker
+  // still runs on it.
+  const CoreLease lease(width);
 
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
@@ -89,19 +86,23 @@ void fan_out(std::size_t n, std::size_t max_workers, const FanOutBody& body) {
     }
   };
   {
-    std::vector<std::jthread> helpers;  // joined when the scope ends
-    helpers.reserve(lease.helpers());
-    for (std::size_t worker = 1; worker <= lease.helpers(); ++worker) {
+    std::vector<std::jthread> workers;  // joined when the scope ends
+    workers.reserve(lease.workers());
+    for (std::size_t worker = 0; worker < lease.workers(); ++worker) {
       try {
-        helpers.emplace_back(work, worker);
+        workers.emplace_back(work, worker);
       } catch (...) {
-        break;  // no thread to be had: run with the helpers already started
+        break;  // no thread to be had: run with the workers started
       }
     }
-    work(0);
+    if (workers.empty()) work(0);  // none started: the caller runs them all
   }
   if (error) std::rethrow_exception(error);
 }
+
+namespace detail {
+
+std::ptrdiff_t idle_cores() { return idle().load(); }
 
 }  // namespace detail
 

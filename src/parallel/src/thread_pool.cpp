@@ -34,21 +34,7 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     task();  // packaged_task captures exceptions into the future
-    if (metrics_ != nullptr) metrics_->add(completed_id_);
   }
-}
-
-void ThreadPool::attach_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    submitted_id_ = metrics->counter("pool.tasks_submitted");
-    completed_id_ = metrics->counter("pool.tasks_completed");
-  }
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace btmf::parallel

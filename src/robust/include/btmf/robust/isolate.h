@@ -17,7 +17,7 @@
 // reports that, and run_isolated there returns a typed kUnsupported
 // failure — it never degrades silently to the in-process watchdog.
 //
-// POSIX caveat: sweeps fork from thread-pool workers while sibling threads
+// POSIX caveat: sweeps fork from fan_out workers while sibling threads
 // run arbitrary compute, and after a multithreaded fork() the child may
 // formally only call async-signal-safe functions — yet the child runs a
 // full evaluation (malloc, locks, iostreams). glibc, the supported

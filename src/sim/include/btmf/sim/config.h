@@ -122,8 +122,9 @@ struct SimConfig {
   /// schemes whose dynamics do not decompose ignore the knob and run the
   /// serial kernel. A non-empty FaultPlan also forces one shard.
   unsigned shards = 1;
-  /// Worker threads driving the shards: 0 = one per hardware core,
-  /// 1 = run shards inline on the calling thread (the default).
+  /// Cap on the worker threads driving the shards (0 = no cap). Each
+  /// epoch fans the shards out over at most one worker per idle core
+  /// (parallel::fan_out); 1, the default, steps them one after another.
   unsigned kernel_threads = 1;
 
   /// Declarative fault schedule (tracker outages, seed failure, churn

@@ -15,10 +15,12 @@
 // for the contract and its proof obligations.
 //
 // Shards advance in lockstep through kEpochs rate-epoch barriers
-// (run_until on each horizon/kEpochs boundary), on a ThreadPool when
-// kernel_threads allows, inline otherwise. The barriers exist for
-// observability (epoch-wise progress, barrier-wait accounting) and to
-// bound the skew between shards; correctness never depends on them
+// (run_until on each horizon/kEpochs boundary). Each epoch is one
+// parallel::fan_out over the shards, capped at kernel_threads (0 = no
+// cap), so the shards run on at most one worker per idle core and a
+// sharded run inside a busy sweep runs them serially. The barriers exist
+// for observability (epoch-wise progress, barrier-wait accounting) and
+// to bound the skew between shards; correctness never depends on them
 // because the shards share no mutable state.
 //
 // Non-shardable policies and runs with an active FaultPlan fall back to

@@ -9,10 +9,6 @@
 #include "btmf/sim/config.h"
 #include "btmf/sim/stats.h"
 
-namespace btmf::parallel {
-class ThreadPool;
-}
-
 namespace btmf::sim {
 
 /// Runs one replication of `config` on the event kernel with the policy
@@ -31,8 +27,8 @@ struct ReplicationFailure {
 };
 
 /// Aggregate over independent replications (seeds derived from
-/// config.seed via SplitMix64 stream splitting; runs execute on the
-/// global thread pool).
+/// config.seed via SplitMix64 stream splitting; runs execute on idle
+/// cores through parallel::fan_out).
 ///
 /// A replication that throws (solver divergence, runaway population,
 /// audit failure) is isolated: it lands in `failures` instead of taking
@@ -58,14 +54,10 @@ struct ReplicationSummary {
   std::vector<double> class_mean_final_rho;
 };
 
+/// Each run carries its own derived seed and writes to a pre-allocated
+/// slot, so the summary is bitwise identical to a serial loop of
+/// run_simulation calls at derive_seed(config.seed, r).
 ReplicationSummary run_replications(const SimConfig& config,
                                     std::size_t num_replications);
-
-/// As above but scheduling the replications on `pool`. Each run carries
-/// its own derived seed and writes to a pre-allocated slot, so the
-/// summary is bitwise identical for any pool size.
-ReplicationSummary run_replications(const SimConfig& config,
-                                    std::size_t num_replications,
-                                    parallel::ThreadPool& pool);
 
 }  // namespace btmf::sim

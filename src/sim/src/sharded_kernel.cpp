@@ -1,15 +1,12 @@
 #include "btmf/sim/sharded_kernel.h"
 
 #include <algorithm>
-#include <exception>
-#include <future>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "btmf/parallel/thread_pool.h"
+#include "btmf/parallel/fan_out.h"
 #include "btmf/util/check.h"
 #include "btmf/util/stopwatch.h"
 
@@ -56,16 +53,6 @@ SimResult ShardedKernel::run() {
         shard_cfg, *policies[s], ShardSpec{s, num_shards, true}));
   }
 
-  const unsigned threads =
-      cfg_.kernel_threads == 0
-          ? std::max(1U, std::thread::hardware_concurrency())
-          : cfg_.kernel_threads;
-  std::unique_ptr<parallel::ThreadPool> pool;
-  if (threads > 1 && num_shards > 1) {
-    pool = std::make_unique<parallel::ThreadPool>(
-        std::min<std::size_t>(threads, num_shards));
-  }
-
   for (auto& kernel : kernels) kernel->start();
 
   double barrier_wait_s = 0.0;
@@ -75,35 +62,14 @@ SimResult ShardedKernel::run() {
                              ? cfg_.horizon
                              : cfg_.horizon * static_cast<double>(e) /
                                    static_cast<double>(kEpochs);
-    if (pool != nullptr) {
-      std::vector<std::future<double>> futures;
-      futures.reserve(num_shards);
-      for (unsigned s = 0; s < num_shards; ++s) {
-        EventKernel* kernel = kernels[s].get();
-        futures.push_back(pool->submit([kernel, t_end] {
-          const util::Stopwatch sw;
-          kernel->run_until(t_end);
-          return sw.seconds();
-        }));
-      }
-      // Join EVERY future before rethrowing: an exception must not leave
-      // sibling shards running against kernels about to be destroyed.
-      std::exception_ptr first_error;
-      for (unsigned s = 0; s < num_shards; ++s) {
-        try {
-          task_s[s] = futures[s].get();
-        } catch (...) {
-          if (first_error == nullptr) first_error = std::current_exception();
-        }
-      }
-      if (first_error != nullptr) std::rethrow_exception(first_error);
-    } else {
-      for (unsigned s = 0; s < num_shards; ++s) {
-        const util::Stopwatch sw;
-        kernels[s]->run_until(t_end);
-        task_s[s] = sw.seconds();
-      }
-    }
+    // fan_out joins every shard before it rethrows, so no shard runs on
+    // against kernels about to be destroyed.
+    parallel::fan_out(num_shards, cfg_.kernel_threads,
+                      [&](std::size_t s, std::size_t) {
+                        const util::Stopwatch sw;
+                        kernels[s]->run_until(t_end);
+                        task_s[s] = sw.seconds();
+                      });
     // Idle time a fully-parallel execution would spend waiting at this
     // barrier: every shard sits until the slowest one arrives.
     const double slowest = *std::max_element(task_s.begin(), task_s.end());

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "btmf/math/stats.h"
-#include "btmf/parallel/parallel_for.h"
+#include "btmf/parallel/fan_out.h"
 #include "btmf/parallel/seeds.h"
 #include "btmf/sim/policies.h"
 #include "btmf/sim/sharded_kernel.h"
@@ -97,8 +97,7 @@ SimResult run_simulation(const SimConfig& config) {
 }
 
 ReplicationSummary run_replications(const SimConfig& config,
-                                    std::size_t num_replications,
-                                    parallel::ThreadPool& pool) {
+                                    std::size_t num_replications) {
   BTMF_CHECK_MSG(num_replications >= 1, "need at least one replication");
   // Replications are isolated: one seed hitting a solver divergence or a
   // runaway population must not discard its siblings' work. Each slot
@@ -108,7 +107,7 @@ ReplicationSummary run_replications(const SimConfig& config,
   std::vector<std::uint64_t> seeds(num_replications, 0);
   std::vector<std::string> errors(num_replications);
   std::vector<char> failed(num_replications, 0);
-  parallel::parallel_for(pool, 0, num_replications, [&](std::size_t r) {
+  parallel::fan_out(num_replications, [&](std::size_t r, std::size_t) {
     SimConfig rep = config;
     rep.seed = parallel::derive_seed(config.seed, r);
     seeds[r] = rep.seed;
@@ -176,11 +175,6 @@ ReplicationSummary run_replications(const SimConfig& config,
     summary.class_mean_final_rho[k] = c_rho[k].mean();
   }
   return summary;
-}
-
-ReplicationSummary run_replications(const SimConfig& config,
-                                    std::size_t num_replications) {
-  return run_replications(config, num_replications, parallel::global_pool());
 }
 
 }  // namespace btmf::sim

@@ -83,13 +83,8 @@ struct FigureReport {
 
 struct ReproduceOptions {
   std::string cache_dir;  ///< empty = uncached
-  std::size_t jobs = 0;   ///< 0 = process-global pool
+  std::size_t jobs = 0;   ///< cap on sweep workers; 0 = no cap
   obs::MetricsRegistry* metrics = nullptr;
-  /// Sharding of the kernel-sim points. The sharded kernel is
-  /// bit-identical for any value and the spec fingerprint excludes it, so
-  /// the generated report (and the sweep cache) must not change with this
-  /// knob — CI diffs a --shards 2 run against the committed report.
-  unsigned shards = 1;
   // --- execution supervision (forwarded to SweepOptions::robust) --------
   // None of these may change the *numbers*: deadlines/retries/isolation
   // decide whether a point computes, never what it computes, and a

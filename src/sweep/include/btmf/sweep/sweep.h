@@ -1,13 +1,13 @@
-// The sweep engine: shard a parameter grid across the thread pool,
-// cache each point's result on disk, tolerate per-point failures.
+// The sweep engine: fan a parameter grid out over idle cores, cache each
+// point's result on disk, tolerate per-point failures.
 //
 // Fluid sweeps over (p, rho, lambda, gamma, ...) grids are embarrassingly
 // parallel, and the per-point solves are pure functions of their inputs —
 // so the engine treats every point as an independent, content-addressed
 // unit of work: look it up in the cache, compute on miss, store, move on.
 // Results land in pre-allocated slots indexed by grid position, making
-// the output bit-identical for any shard count, thread count, or cache
-// state (cold, warm, or partially warm after an interrupted run).
+// the output bit-identical for any job count or cache state (cold, warm,
+// or partially warm after an interrupted run).
 //
 // A point whose compute function throws is recorded as failed (with the
 // exception message) without killing the sweep or poisoning the cache;
@@ -43,8 +43,10 @@ namespace btmf::sweep {
 /// Computes one grid point. Must be a pure function of the point (plus
 /// the configuration captured in SweepSpec::fingerprint — anything that
 /// changes the output MUST be folded into the fingerprint, or the cache
-/// will serve stale results). Thread-safe: called concurrently from pool
-/// workers. Must not submit work to the pool the sweep itself runs on.
+/// will serve stale results). Thread-safe: called concurrently from the
+/// sweep's workers. It may fan out itself (parallel::fan_out): the
+/// sweep's workers hold their cores, so a nested fan-out runs serially
+/// unless cores are idle.
 using PointFn = std::function<PointResult(const GridPoint&)>;
 
 /// Escalated recompute for supervisor retries: called instead of
@@ -70,13 +72,10 @@ struct SweepSpec {
 struct SweepOptions {
   /// Cache root directory; empty disables caching entirely.
   std::string cache_dir;
-  /// Worker threads: 0 = run on the process-global pool, N > 0 = a
-  /// dedicated pool of N workers for this sweep.
+  /// Cap on the worker threads (0 = no cap). The points fan out over at
+  /// most one worker per idle core (parallel::fan_out); results are
+  /// identical for every value.
   std::size_t jobs = 0;
-  /// Task granularity: the grid is split into this many contiguous
-  /// shards (one pool task each). 0 = four shards per worker. Results
-  /// are identical for every value; this knob only shapes scheduling.
-  std::size_t shards = 0;
   /// Optional progress/metrics sink (non-owning): sweep.points_total,
   /// sweep.points_done, sweep.cache_hits, sweep.cache_misses,
   /// sweep.failures, the sweep.point_seconds histogram, and — when the

@@ -622,10 +622,9 @@ double mean_multi_file_rho(const sim::SimResult& result) {
                      : std::numeric_limits<double>::quiet_NaN();
 }
 
-SweepSpec adapt_spec(bool adapt_enabled, unsigned shards) {
+SweepSpec adapt_spec(bool adapt_enabled) {
   model::ScenarioSpec base = adapt_base_spec();
   base.adapt.enabled = adapt_enabled;
-  base.shards = shards;  // no effect on results or the cache fingerprint
   SweepSpec spec;
   spec.name = adapt_enabled ? "adapt-on" : "adapt-off";
   spec.grid
@@ -634,10 +633,9 @@ SweepSpec adapt_spec(bool adapt_enabled, unsigned shards) {
                             : std::vector<double>{0.0})
       .axis("rep", {0.0, 1.0});
   spec.fingerprint = cache_key("kernel-sim", base);
-  // NOTE: one single-replication backend call per point (the replication
-  // index is a grid axis) rather than run_replications, which fans out on
-  // the global pool — a compute function must never submit to the pool
-  // its sweep runs on.
+  // One single-replication backend call per point: the replication index
+  // is a grid axis, so each replication is cached and journaled as a
+  // point of its own.
   spec.compute = [base](const GridPoint& point) {
     model::ScenarioSpec scenario = base;
     scenario.cheater_fraction = point.at("cheaters");
@@ -667,8 +665,8 @@ FigureReport run_adapt(const ReproduceOptions& options) {
       "measurements are this repository's discrete-event check of the "
       "claimed behaviour, averaged over 2 seeds.)";
 
-  const SweepSpec on_spec = adapt_spec(true, options.shards);
-  const SweepSpec off_spec = adapt_spec(false, options.shards);
+  const SweepSpec on_spec = adapt_spec(true);
+  const SweepSpec off_spec = adapt_spec(false);
   const SweepResult on = run_sweep(on_spec, engine_options(options));
   const SweepResult off = run_sweep(off_spec, engine_options(options));
   report.stats.absorb(on);

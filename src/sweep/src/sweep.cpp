@@ -11,8 +11,7 @@
 #include <signal.h>
 #endif
 
-#include "btmf/parallel/parallel_for.h"
-#include "btmf/parallel/thread_pool.h"
+#include "btmf/parallel/fan_out.h"
 #include "btmf/robust/checkpoint.h"
 #include "btmf/util/error.h"
 #include "btmf/util/stopwatch.h"
@@ -165,12 +164,12 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   sweep.points.resize(n);
 
   // Aggregate counters are relaxed atomics: per-point order is irrelevant
-  // and the parallel_for join below is the synchronisation point.
+  // and the fan_out join below is the synchronisation point.
   std::atomic<std::size_t> hits{0}, misses{0}, failures{0};
   std::atomic<std::size_t> retries{0}, timeouts{0}, crashes{0};
   std::atomic<std::size_t> quarantined{0}, resumed{0};
 
-  const auto run_point = [&](std::size_t i) {
+  const auto run_point = [&](std::size_t i, std::size_t /*worker*/) {
     PointOutcome& outcome = sweep.points[i];
     outcome.index = i;
     outcome.point = spec.grid.point(i);
@@ -274,18 +273,9 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     if (metrics.registry != nullptr) metrics.registry->add(metrics.done);
   };
 
-  // A dedicated pool when the caller pinned a job count; the process
-  // pool otherwise. The shard count bounds tasks in flight — results are
-  // slot-indexed, so any sharding yields the same SweepResult.
-  std::unique_ptr<parallel::ThreadPool> own_pool;
-  if (options.jobs > 0) {
-    own_pool = std::make_unique<parallel::ThreadPool>(options.jobs);
-  }
-  parallel::ThreadPool& pool =
-      own_pool != nullptr ? *own_pool : parallel::global_pool();
-  const std::size_t shards =
-      options.shards > 0 ? options.shards : pool.num_threads() * 4;
-  parallel::parallel_for_sharded(pool, 0, n, shards, run_point);
+  // Results are slot-indexed, so any spread of points over workers
+  // yields the same SweepResult.
+  parallel::fan_out(n, options.jobs, run_point);
 
   sweep.cache_hits = hits.load();
   sweep.cache_misses = misses.load();

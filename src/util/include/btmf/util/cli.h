@@ -33,8 +33,9 @@ class ArgParser {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
   /// A count option: throws btmf::ConfigError unless the value lies in
-  /// [1, UINT_MAX], so no value wraps in the cast to unsigned.
-  [[nodiscard]] unsigned get_count(const std::string& name) const;
+  /// [min, UINT_MAX], so no value wraps in the cast to unsigned.
+  [[nodiscard]] unsigned get_count(const std::string& name,
+                                   unsigned min = 1) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// Renders the --help text.

@@ -81,10 +81,11 @@ long long ArgParser::get_int(const std::string& name) const {
   return parse_int(get(name), "--" + name);
 }
 
-unsigned ArgParser::get_count(const std::string& name) const {
+unsigned ArgParser::get_count(const std::string& name, unsigned min) const {
   const long long raw = get_int(name);
-  if (raw < 1 || raw > std::numeric_limits<unsigned>::max()) {
-    throw ConfigError("--" + name + " must lie in [1, " +
+  if (raw < min || raw > std::numeric_limits<unsigned>::max()) {
+    throw ConfigError("--" + name + " must lie in [" + std::to_string(min) +
+                      ", " +
                       std::to_string(std::numeric_limits<unsigned>::max()) +
                       "] (got " + std::to_string(raw) + ")");
   }

@@ -5,13 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "btmf/parallel/thread_pool.h"
 
 namespace btmf::parallel {
 namespace {
@@ -39,7 +36,7 @@ TEST(FanOutTest, EveryIndexRunsExactlyOnceForWorkerCaps1To8) {
     SCOPED_TRACE("cap " + std::to_string(cap));
     std::vector<std::atomic<int>> hits(kIndices);
     std::atomic<std::size_t> highest_worker{0};
-    detail::fan_out(kIndices, cap, [&](std::size_t index, std::size_t worker) {
+    fan_out(kIndices, cap, [&](std::size_t index, std::size_t worker) {
       ++hits[index];
       record_max(highest_worker, worker);
     });
@@ -108,7 +105,7 @@ TEST(FanOutTest, CoresAreRestoredAfterwardsEvenAfterAnException) {
 }
 
 /// Runs `fill` on its own threads until every core is held, then checks
-/// that a fan_out meanwhile runs every index on the calling thread.
+/// that a fan_out meanwhile runs every index on worker 0 alone.
 template <typename Fill>
 void expect_serial_while_cores_are_full(std::size_t fillers, Fill fill) {
   std::atomic<bool> release{false};
@@ -145,22 +142,34 @@ TEST(FanOutTest, CallersThatFillTheCoresStartNoHelper) {
       });
 }
 
-TEST(FanOutTest, NoDeadlockWhenCalledFromGlobalPoolWorkers) {
-  // Every pool worker fans out at once, more tasks than workers queued
-  // behind them: fan_out never waits on the pool, so all of them finish.
-  ThreadPool& pool = global_pool();
-  std::vector<std::future<std::size_t>> futures;
-  for (std::size_t t = 0; t < 2 * pool.num_threads(); ++t) {
-    futures.push_back(pool.submit([] {
-      std::atomic<std::size_t> sum{0};
-      fan_out(200, [&](std::size_t index, std::size_t) { sum += index; });
-      return sum.load();
-    }));
+TEST(FanOutTest, NoBodyRunsOnTheCallingThread) {
+  // The caller lends its core to a started worker 0 and waits, whatever
+  // the cap and whether or not idle cores remain for further workers.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t cap : {0u, 1u, 2u}) {
+    for (const std::size_t n : {1u, 16u}) {
+      std::atomic<int> on_caller{0};
+      fan_out(n, cap, [&](std::size_t, std::size_t) {
+        if (std::this_thread::get_id() == caller) ++on_caller;
+      });
+      EXPECT_EQ(on_caller.load(), 0) << "cap " << cap << " n " << n;
+    }
   }
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(60)), std::future_status::ready);
-    EXPECT_EQ(f.get(), 199u * 200u / 2u);
-  }
+}
+
+TEST(FanOutTest, NestedCallsFromMoreOuterIndicesThanCoresFinish) {
+  // Every outer body fans out again while the outer workers hold every
+  // core: the inner calls run on their worker 0 alone and never wait on
+  // a worker, so all of them finish.
+  const std::ptrdiff_t before = detail::idle_cores();
+  std::vector<std::size_t> sums(2 * cores() + 1, 0);
+  fan_out(sums.size(), [&](std::size_t outer, std::size_t) {
+    std::atomic<std::size_t> sum{0};
+    fan_out(200, [&](std::size_t index, std::size_t) { sum += index; });
+    sums[outer] = sum.load();
+  });
+  for (const std::size_t sum : sums) EXPECT_EQ(sum, 199u * 200u / 2u);
+  EXPECT_EQ(detail::idle_cores(), before);
 }
 
 }  // namespace

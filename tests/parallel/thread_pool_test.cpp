@@ -49,10 +49,5 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(counter.load(), 20);
 }
 
-TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
-  EXPECT_EQ(&global_pool(), &global_pool());
-  EXPECT_GE(global_pool().num_threads(), 1u);
-}
-
 }  // namespace
 }  // namespace btmf::parallel

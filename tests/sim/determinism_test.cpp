@@ -4,13 +4,14 @@
 // wall clock is a pure function of SimConfig — tie-breaks in the event
 // queues are total orders and replication seeds are derived, never
 // shared. These tests pin that promise down: re-running a config must be
-// bit-identical, and run_replications must not depend on how many
-// threads the pool happens to have.
+// bit-identical, and run_replications must match a serial loop over the
+// derived seeds however its runs were spread over threads.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
-#include "btmf/parallel/thread_pool.h"
+#include "btmf/math/stats.h"
+#include "btmf/parallel/seeds.h"
 #include "btmf/sim/simulator.h"
 
 namespace btmf::sim {
@@ -83,20 +84,22 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, DeterminismTest,
                            }
                          });
 
-TEST(DeterminismTest, ReplicationsIndependentOfThreadPoolSize) {
+TEST(DeterminismTest, ReplicationsMatchTheSerialReference) {
   const SimConfig c = base_config(fluid::SchemeKind::kMtcd);
-  parallel::ThreadPool one(1);
-  parallel::ThreadPool four(4);
-  const ReplicationSummary serial = run_replications(c, 6, one);
-  const ReplicationSummary threaded = run_replications(c, 6, four);
-  ASSERT_EQ(serial.runs.size(), threaded.runs.size());
-  for (std::size_t r = 0; r < serial.runs.size(); ++r) {
-    expect_identical(serial.runs[r], threaded.runs[r]);
+  const ReplicationSummary summary = run_replications(c, 6);
+  ASSERT_EQ(summary.runs.size(), 6u);
+  math::RunningStats online, download;
+  for (std::size_t r = 0; r < summary.runs.size(); ++r) {
+    SimConfig rep = c;
+    rep.seed = parallel::derive_seed(c.seed, r);
+    const SimResult serial = run_simulation(rep);
+    expect_identical(serial, summary.runs[r]);
+    online.add(serial.avg_online_per_file);
+    download.add(serial.avg_download_per_file);
   }
-  EXPECT_EQ(serial.mean_online_per_file, threaded.mean_online_per_file);
-  EXPECT_EQ(serial.stderr_online_per_file, threaded.stderr_online_per_file);
-  EXPECT_EQ(serial.mean_download_per_file, threaded.mean_download_per_file);
-  EXPECT_EQ(serial.class_little_online, threaded.class_little_online);
+  EXPECT_EQ(summary.mean_online_per_file, online.mean());
+  EXPECT_EQ(summary.stderr_online_per_file, online.stderr_mean());
+  EXPECT_EQ(summary.mean_download_per_file, download.mean());
 }
 
 TEST(DeterminismTest, SingleReplicationHasZeroStandardError) {

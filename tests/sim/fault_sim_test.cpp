@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "btmf/parallel/thread_pool.h"
 #include "btmf/sim/faults.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/error.h"
@@ -243,13 +242,12 @@ TEST(FaultPlanTest, ValidateRejectsBadRangesAndOverlaps) {
 // must surface in `failures` without discarding its siblings' results.
 TEST(FaultSimTest, ReplicationFailuresAreIsolated) {
   SimConfig c = base_config(fluid::SchemeKind::kMtcd);
-  parallel::ThreadPool pool(2);
   const std::size_t reps = 6;
 
   // Find a peer-cap threshold that separates the derived seeds: run the
   // replications unconstrained, then cap between the smallest and largest
   // observed peaks so some seeds trip the cap and some survive.
-  const ReplicationSummary clean = run_replications(c, reps, pool);
+  const ReplicationSummary clean = run_replications(c, reps);
   ASSERT_EQ(clean.runs.size(), reps);
   ASSERT_TRUE(clean.failures.empty());
   std::size_t lo = std::numeric_limits<std::size_t>::max();
@@ -262,7 +260,7 @@ TEST(FaultSimTest, ReplicationFailuresAreIsolated) {
 
   SimConfig capped = c;
   capped.max_active_peers = (lo + hi) / 2;
-  const ReplicationSummary mixed = run_replications(capped, reps, pool);
+  const ReplicationSummary mixed = run_replications(capped, reps);
   EXPECT_FALSE(mixed.failures.empty());
   EXPECT_FALSE(mixed.runs.empty());
   EXPECT_EQ(mixed.failures.size() + mixed.runs.size(), reps);
@@ -276,7 +274,7 @@ TEST(FaultSimTest, ReplicationFailuresAreIsolated) {
   // Every replication failing surfaces as a SolverError naming the first.
   SimConfig hopeless = c;
   hopeless.max_active_peers = 1;
-  EXPECT_THROW(run_replications(hopeless, 3, pool), SolverError);
+  EXPECT_THROW(run_replications(hopeless, 3), SolverError);
 }
 
 }  // namespace

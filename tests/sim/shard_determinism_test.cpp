@@ -112,7 +112,7 @@ TEST_P(ScaleDeterminismTest, BitIdenticalAcrossShardsAndThreads) {
       param.with_faults ? std::vector<unsigned>{1U}
                         : std::vector<unsigned>{2U, 7U};
   for (const unsigned shards : shard_counts) {
-    for (const unsigned threads : {1U, 4U}) {
+    for (const unsigned threads : {0U, 1U, 4U}) {
       SimConfig c = scale_config(param.scheme, param.with_faults);
       c.shards = shards;
       c.kernel_threads = threads;

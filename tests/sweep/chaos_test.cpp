@@ -55,13 +55,13 @@ SweepSpec chaotic_spec() {
   return spec;
 }
 
-/// Sequential execution: one worker, one shard, so grid order IS
-/// execution order and the chaos kill point is deterministic.
+/// Sequential execution: one worker claims the points in grid order, so
+/// grid order IS execution order and the chaos kill point is
+/// deterministic.
 SweepOptions sequential_options(const std::string& cache_dir) {
   SweepOptions options;
   options.cache_dir = cache_dir;
   options.jobs = 1;
-  options.shards = 1;
   return options;
 }
 

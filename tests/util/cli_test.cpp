@@ -126,5 +126,24 @@ TEST(CliTest, CountAcceptsTheLargestUnsigned) {
   EXPECT_EQ(parser.get_count("k"), 4294967295U);
 }
 
+TEST(CliTest, CountAcceptsZeroAtLowerBoundZero) {
+  ArgParser parser = make_parser();
+  const std::array<const char*, 3> argv{"prog", "--k", "0"};
+  ASSERT_TRUE(parser.parse(3, argv.data()));
+  EXPECT_EQ(parser.get_count("k", 0), 0U);
+  EXPECT_THROW((void)parser.get_count("k"), ConfigError);
+}
+
+TEST(CliTest, CountAtLowerBoundZeroRejectsWrappingAndNegativeValues) {
+  // --retries 4294967297 used to run 1 retry, --kernel-threads 4294967296
+  // to read as 0 (no cap).
+  for (const char* value : {"4294967296", "4294967297", "-1"}) {
+    ArgParser parser = make_parser();
+    const std::array<const char*, 3> argv{"prog", "--k", value};
+    ASSERT_TRUE(parser.parse(3, argv.data()));
+    EXPECT_THROW((void)parser.get_count("k", 0), ConfigError) << value;
+  }
+}
+
 }  // namespace
 }  // namespace btmf::util
