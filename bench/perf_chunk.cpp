@@ -22,6 +22,7 @@
 
 #include "bench_util.h"
 #include "btmf/sim/chunk_sim.h"
+#include "btmf/util/error.h"
 #include "btmf/util/stopwatch.h"
 
 namespace {
@@ -43,7 +44,7 @@ struct Averages {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "perf_chunk",
@@ -59,7 +60,9 @@ int main(int argc, char** argv) {
   parser.add_option("json", "", "also dump rows as JSON to this path");
   if (!parser.parse(argc, argv)) return 0;
 
-  const int num_seeds = static_cast<int>(parser.get_int("seeds"));
+  const unsigned num_seeds = parser.get_count("seeds");
+  const unsigned chunks = parser.get_count("chunks");
+  const unsigned flash_crowd = parser.get_count("flash-crowd", 0);
   const double horizon = parser.get_double("horizon");
 
   const std::vector<Row> rows{
@@ -77,19 +80,18 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     Averages avg;
     util::Stopwatch timer;
-    for (int s = 0; s < num_seeds; ++s) {
+    for (unsigned s = 0; s < num_seeds; ++s) {
       sim::ChunkSimConfig config;
-      config.num_chunks = static_cast<unsigned>(parser.get_int("chunks"));
+      config.num_chunks = chunks;
       config.entry_rate = parser.get_double("entry-rate");
       config.fluid.gamma = parser.get_double("gamma");
       config.policy = row.policy;
       config.suppression_prob = row.suppression;
       config.initial_seeds = 1;
-      config.flash_crowd =
-          static_cast<unsigned>(parser.get_int("flash-crowd"));
+      config.flash_crowd = flash_crowd;
       config.horizon = horizon;
       config.warmup = 0.0;  // the crowd IS the experiment — measure it all
-      config.seed = static_cast<std::uint64_t>(s + 1);
+      config.seed = std::uint64_t{s} + 1;
       const sim::ChunkSimResult r = sim::run_chunk_sim(config);
       avg.download += r.mean_download_time;
       avg.peak += r.peak_downloaders;
@@ -143,4 +145,8 @@ int main(int argc, char** argv) {
     std::printf("(json saved to %s)\n", json_path.c_str());
   }
   return 0;
+} catch (const btmf::Error& error) {
+  // A bad option (say, a count that would wrap) ends the run cleanly.
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 1;
 }

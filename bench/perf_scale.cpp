@@ -20,6 +20,7 @@
 #include "bench_util.h"
 #include "btmf/obs/metrics.h"
 #include "btmf/sim/simulator.h"
+#include "btmf/util/error.h"
 
 namespace {
 
@@ -58,7 +59,7 @@ struct Run {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::ArgParser parser = bench::make_parser(
       "perf_scale",
       "Sharded-kernel scale gate: 10M+ peers, wall time vs threads");
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
 
   const bool smoke = parser.get_flag("smoke");
-  const auto shards = static_cast<unsigned>(parser.get_int("shards"));
+  const unsigned shards = parser.get_count("shards");
 
   // Flash crowd: every user requests all K files (p = 1), arrivals are
   // hot, downloads are fast (hot upload capacity), and seeds linger
@@ -185,4 +186,8 @@ int main(int argc, char** argv) {
     std::printf("(json saved to %s)\n", json_path.c_str());
   }
   return ok ? 0 : 1;
+} catch (const btmf::Error& error) {
+  // A bad option (say, a count that would wrap) ends the run cleanly.
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 1;
 }
