@@ -57,6 +57,7 @@
 #include "btmf/fluid/params.h"
 #include "btmf/math/equilibrium.h"
 #include "btmf/math/ode.h"
+#include "btmf/math/rosenbrock.h"
 
 namespace btmf::fluid {
 
@@ -99,6 +100,19 @@ class CmfsdModel {
   /// ArrivalProcess: lambda_i(t) = arrival.rate_at(lambda_i, t). With a
   /// homogeneous process this returns exactly the autonomous RHS.
   [[nodiscard]] math::OdeRhs rhs(const ArrivalProcess& arrival) const;
+
+  /// rhs(arrival) with the stage solves of a linearly implicit step, O(n)
+  /// each. With X = sum x, D = sum (1 - P) x, Y = sum y and the pool rate
+  /// S = mu (D + Y) / X, the Jacobian is J = J0 + u g^T: J0 is each
+  /// class's lower-bidiagonal stage chain (diagonal -(mu eta P + S), the
+  /// same rate feeding the next stage) ending in its seed row (-gamma),
+  /// u_s = x_{s-1} - x_s along a chain (x_{s-1} = 0 at its head) and
+  /// x_last on the seed row, and g = grad S: (mu (1 - P) - S) / X on the
+  /// stages, mu / X on the seeds. The solve runs down the chains and adds
+  /// the Sherman–Morrison term. With no downloaders (X = 0) the
+  /// right-hand side sets S = 0, and so does J.
+  [[nodiscard]] math::OdeSystem system(
+      const ArrivalProcess& arrival = {}) const;
 
   /// The steady state, as the root of the scalar pool-rate equation (see
   /// the file comment). Only options.residual_tol is used: the point must

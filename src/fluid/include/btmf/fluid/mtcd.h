@@ -25,6 +25,7 @@
 #include "btmf/fluid/metrics.h"
 #include "btmf/fluid/params.h"
 #include "btmf/math/ode.h"
+#include "btmf/math/rosenbrock.h"
 
 namespace btmf::fluid {
 
@@ -54,6 +55,18 @@ math::OdeRhs mtcd_rhs(const FluidParams& params,
 math::OdeRhs mtcd_rhs(const FluidParams& params,
                       std::vector<double> class_entry_rates,
                       const ArrivalProcess& arrival);
+
+/// mtcd_rhs with the stage solves of a linearly implicit step, O(K) each.
+/// With w_i = 1/i, W = sum_l w_l x_l, B = sum_l (mu/l) y_l and the share
+/// s_i = w_i x_i / W, the Jacobian is J = J0 + u v^T: J0 holds one
+/// lower-triangular 2x2 block per class, [[-d_i, 0], [d_i, -gamma]] on
+/// (x_i, y_i) with d_i = eta mu/i + (B/W) w_i, and the seed-service and
+/// share sums enter through the one product u = (-s; s),
+/// v = (-(B/W) w; mu/l), solved by Sherman–Morrison. With no downloaders
+/// (W = 0) the right-hand side sets the share to 0, and so does J.
+math::OdeSystem mtcd_system(const FluidParams& params,
+                            std::vector<double> class_entry_rates,
+                            const ArrivalProcess& arrival = {});
 
 /// Just the per-file factor A of eq. (2).
 double mtcd_per_file_factor(const FluidParams& params,

@@ -12,6 +12,7 @@
 #include "btmf/fluid/demand.h"
 #include "btmf/fluid/params.h"
 #include "btmf/math/ode.h"
+#include "btmf/math/rosenbrock.h"
 
 namespace btmf::fluid {
 
@@ -36,6 +37,13 @@ math::OdeRhs single_torrent_rhs(const FluidParams& params, double entry_rate);
 /// homogeneous process this returns exactly the autonomous RHS.
 math::OdeRhs single_torrent_rhs(const FluidParams& params, double entry_rate,
                                 const ArrivalProcess& arrival);
+
+/// The right-hand side above with the stage solves of a linearly implicit
+/// step. J = [[-mu eta, -mu], [mu eta, mu - gamma]] is constant, so each
+/// solve of (c I - J) z = r is the 2x2 system in closed form.
+math::OdeSystem single_torrent_system(const FluidParams& params,
+                                      double entry_rate,
+                                      const ArrivalProcess& arrival = {});
 
 /// Download time T = (gamma - mu)/(gamma mu eta); the rate-independent core
 /// of the MTSD analysis. Throws btmf::ConfigError when gamma <= mu.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "btmf/math/roots.h"
@@ -41,6 +42,88 @@ StageCoefficients stage_coefficients(const CmfsdModel& model) {
   }
   return c;
 }
+
+/// Solves (c I - J0 - u g^T) z = r (see CmfsdModel::system): down each
+/// class's chain of c I - J0, then the Sherman–Morrison correction
+/// z += q (g^T z) / (1 - g^T q) with q = (c I - J0)^{-1} u.
+class CmfsdStages final : public math::StageSolver {
+ public:
+  CmfsdStages(StageCoefficients coefficients, std::size_t num_classes,
+              double mu, double gamma)
+      : c_(std::move(coefficients)), classes_(num_classes), mu_(mu),
+        gamma_(gamma), inv_x_(c_.tft.size()), out_(c_.tft.size()),
+        q_(c_.tft.size() + num_classes), g_(q_.size()) {}
+
+  void factor(double /*t*/, std::span<const double> state,
+              double c) override {
+    const std::size_t stages = c_.tft.size();
+    double x_total = 0.0;
+    double donated = 0.0;
+    for (std::size_t s = 0; s < stages; ++s) {
+      x_total += state[s];
+      donated += c_.donation[s] * state[s];
+    }
+    double y_total = 0.0;
+    for (std::size_t s = stages; s < state.size(); ++s) y_total += state[s];
+    const bool pooled = x_total > 0.0;
+    const double pool_rate = pooled ? mu_ * (donated + y_total) / x_total : 0.0;
+
+    inv_y_ = 1.0 / (c + gamma_);
+    for (std::size_t s = 0; s < stages; ++s) {
+      out_[s] = c_.tft[s] + pool_rate;
+      inv_x_[s] = 1.0 / (c + out_[s]);
+    }
+    coupled_ = pooled;
+    if (!pooled) return;
+    std::size_t s = 0;
+    for (std::size_t i = 0; i < classes_; ++i) {
+      double upstream = 0.0;  // x_{s-1} within the chain
+      for (std::size_t j = 0; j <= i; ++j, ++s) {
+        q_[s] = upstream - state[s];
+        g_[s] = (mu_ * c_.donation[s] - pool_rate) / x_total;
+        upstream = state[s];
+      }
+      q_[stages + i] = upstream;
+      g_[stages + i] = mu_ / x_total;
+    }
+    chain_solve(q_);
+    const double gq = math::dot(g_, q_);
+    denominator_ = 1.0 - gq;
+    math::check_pivot(denominator_, 1.0 + std::abs(gq), "CMFSD stage solve");
+  }
+
+  void solve(std::span<double> r) const override {
+    chain_solve(r);
+    if (coupled_) math::axpy(math::dot(g_, r) / denominator_, q_, r);
+  }
+
+ private:
+  /// (c I - J0)^{-1} r: down each class's stage chain into its seed row.
+  void chain_solve(std::span<double> r) const {
+    const std::size_t stages = c_.tft.size();
+    std::size_t s = 0;
+    for (std::size_t i = 0; i < classes_; ++i) {
+      double inflow = 0.0;  // out_{s-1} z_{s-1}
+      for (std::size_t j = 0; j <= i; ++j, ++s) {
+        r[s] = (r[s] + inflow) * inv_x_[s];
+        inflow = out_[s] * r[s];
+      }
+      r[stages + i] = (r[stages + i] + inflow) * inv_y_;
+    }
+  }
+
+  StageCoefficients c_;
+  std::size_t classes_;
+  double mu_;
+  double gamma_;
+  std::vector<double> inv_x_;  ///< 1 / (c + mu eta P + S)
+  std::vector<double> out_;    ///< mu eta P + S
+  double inv_y_ = 0.0;         ///< 1 / (c + gamma)
+  std::vector<double> q_;      ///< (c I - J0)^{-1} u
+  std::vector<double> g_;      ///< grad S
+  double denominator_ = 1.0;   ///< 1 - g^T q
+  bool coupled_ = false;       ///< X > 0, so u g^T is present
+};
 
 }  // namespace
 
@@ -159,6 +242,17 @@ math::OdeRhs CmfsdModel::rhs(const ArrivalProcess& arrival) const {
       dstate[model.x_index(i, 1)] += extra * model.rates_[i - 1];
     }
   };
+}
+
+math::OdeSystem CmfsdModel::system(const ArrivalProcess& arrival) const {
+  math::OdeSystem ode;
+  ode.rhs = rhs(arrival);
+  ode.stages = [c = stage_coefficients(*this), classes = rates_.size(),
+                mu = params_.mu, gamma = params_.gamma] {
+    return std::make_unique<CmfsdStages>(c, classes, mu, gamma);
+  };
+  ode.autonomous = arrival.homogeneous();
+  return ode;
 }
 
 math::EquilibriumOptions CmfsdModel::default_solve_options() {

@@ -1,8 +1,45 @@
 #include "btmf/fluid/single_torrent.h"
 
+#include <cmath>
+#include <memory>
+
 #include "btmf/util/check.h"
 
 namespace btmf::fluid {
+
+namespace {
+
+/// (c I - J) = [[c + mu eta, mu], [-mu eta, c + gamma - mu]], inverted by
+/// its adjugate.
+class SingleTorrentStages final : public math::StageSolver {
+ public:
+  explicit SingleTorrentStages(const FluidParams& params) : params_(params) {}
+
+  void factor(double /*t*/, std::span<const double> /*y*/,
+              double c) override {
+    const double tft = params_.mu * params_.eta;
+    a_ = c + tft;
+    d_ = c + params_.gamma - params_.mu;
+    const double cross = params_.mu * tft;
+    det_ = a_ * d_ + cross;
+    math::check_pivot(det_, std::abs(a_ * d_) + cross, "single torrent");
+  }
+
+  void solve(std::span<double> r) const override {
+    const double x = (d_ * r[0] - params_.mu * r[1]) / det_;
+    const double s = (a_ * r[1] + params_.mu * params_.eta * r[0]) / det_;
+    r[0] = x;
+    r[1] = s;
+  }
+
+ private:
+  FluidParams params_;
+  double a_ = 0.0;
+  double d_ = 0.0;
+  double det_ = 1.0;
+};
+
+}  // namespace
 
 double single_torrent_download_time(const FluidParams& params) {
   params.validate();
@@ -49,6 +86,18 @@ math::OdeRhs single_torrent_rhs(const FluidParams& params, double entry_rate,
     base(t, y, dydt);
     dydt[0] += (arrival.rate_at(1.0, t) - 1.0) * entry_rate;
   };
+}
+
+math::OdeSystem single_torrent_system(const FluidParams& params,
+                                      double entry_rate,
+                                      const ArrivalProcess& arrival) {
+  math::OdeSystem ode;
+  ode.rhs = single_torrent_rhs(params, entry_rate, arrival);
+  ode.stages = [params] {
+    return std::make_unique<SingleTorrentStages>(params);
+  };
+  ode.autonomous = arrival.homogeneous();
+  return ode;
 }
 
 }  // namespace btmf::fluid

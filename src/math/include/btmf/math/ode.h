@@ -1,12 +1,14 @@
 // The adaptive Dormand–Prince 5(4) integrator with PI-free standard step
-// control: the one ODE solver behind the equilibrium finder and every
-// fluid transient.
+// control: the solver behind the equilibrium finder, and the head of
+// every fluid transient.
 //
 // The BitTorrent fluid models relax at rates ~ mu, gamma (both << 1 per
 // time unit), so an explicit method with error control fits them over
 // short horizons. Over long ones (horizon * gamma in the thousands) the
 // slow tail is stiff: there dopri5's stability bound, not its accuracy,
-// sets the step.
+// sets the step. Each accepted step therefore runs Hairer's stiffness
+// test, and fluid::sample_trajectory hands a tail that keeps failing it
+// to the linearly implicit integrator in math/rosenbrock.h.
 #pragma once
 
 #include <cstddef>
@@ -55,13 +57,21 @@ struct AdaptiveResult {
   /// The step the controller proposed after the final accepted step (0 if
   /// no step was taken): the initial_dt for a call continuing from t1.
   double next_dt = 0.0;
+  /// dopri5 only: accepted steps whose stiffness estimate h * rho(J)
+  /// exceeded 3.25, where the step sits on the method's stability bound
+  /// (Hairer & Wanner II, Sec. IV.2), and the last such step's size.
+  std::size_t stiff_steps = 0;
+  double stiff_dt = 0.0;
 };
 
 /// Dormand–Prince RK5(4) with embedded error estimate and standard
 /// step-size control. The final step lands exactly on t1; a remainder
 /// below the underflow floor (1e-14 of the span) is absorbed into it.
-/// Throws btmf::SolverError if the step size underflows or the step
-/// budget is exhausted.
+/// Every accepted step also estimates h * rho(J) from its two stages at
+/// t + h, as Hairer's DOPRI5 does, and counts it in stiff_steps when it
+/// exceeds 3.25; the estimate reads values the step computes anyway and
+/// moves no result. Throws btmf::SolverError if the step size underflows
+/// or the step budget is exhausted.
 AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
                                 double t0, double t1,
                                 const AdaptiveOptions& options = {},

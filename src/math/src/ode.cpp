@@ -29,6 +29,9 @@ constexpr double kA[7][6] = {
 constexpr double kB5[7] = {35.0 / 384,      0.0,         500.0 / 1113,
                            125.0 / 192,     -2187.0 / 6784, 11.0 / 84,
                            0.0};
+// h * rho(J) beyond which a step sits on dopri5's stability bound, whose
+// real-axis extent is about 3.3 (Hairer & Wanner II, Sec. IV.2).
+constexpr double kStiffBound = 3.25;
 // Embedded 4th-order weights.
 constexpr double kB4[7] = {5179.0 / 57600,  0.0,          7571.0 / 16695,
                            393.0 / 640,     -92097.0 / 339200,
@@ -70,6 +73,9 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
     return std::span<double>(k.data() + s * n, n);
   };
   std::vector<double> y_stage(n), acc5(n), acc4(n), y5(n), err(n);
+  // The last stage's argument, kept apart from stage 5's so the stiffness
+  // test can compare the two stages evaluated at t + h.
+  std::vector<double> y_last(n);
 
   // FSAL: stage 0 of the next step reuses stage 6 of the accepted step.
   rhs(result.t, result.y, stage(0));
@@ -86,13 +92,14 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
     if (last) h = t1 - result.t;
 
     for (std::size_t s = 1; s < 7; ++s) {
-      std::copy(result.y.begin(), result.y.end(), y_stage.begin());
+      std::vector<double>& arg = s == 6 ? y_last : y_stage;
+      std::copy(result.y.begin(), result.y.end(), arg.begin());
       for (std::size_t j = 0; j < s; ++j) {
         const double a = h * kA[s][j];
         const double* kj = k.data() + j * n;
-        for (std::size_t i = 0; i < n; ++i) y_stage[i] += a * kj[i];
+        for (std::size_t i = 0; i < n; ++i) arg[i] += a * kj[i];
       }
-      rhs(result.t + kC[s] * h, y_stage, stage(s));
+      rhs(result.t + kC[s] * h, arg, stage(s));
     }
 
     std::fill(acc5.begin(), acc5.end(), 0.0);
@@ -114,6 +121,20 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
                        : std::numeric_limits<double>::infinity();
 
     if (err_norm <= 1.0) {
+      // Stiffness test: stages 5 and 6 both sit at t + h, so
+      // |k6 - k5| / |y6 - y5| estimates rho(J) along the error's direction.
+      double dk = 0.0;
+      double dy = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double a = k[6 * n + i] - k[5 * n + i];
+        const double b = y_last[i] - y_stage[i];
+        dk += a * a;
+        dy += b * b;
+      }
+      if (dy > 0.0 && h * h * dk > kStiffBound * kStiffBound * dy) {
+        ++result.stiff_steps;
+        result.stiff_dt = h;
+      }
       result.t = last ? t1 : result.t + h;
       result.y.swap(y5);
       const bool clamped =

@@ -203,7 +203,7 @@ class FluidTransientBackend final : public Backend {
         const std::vector<double> rates = corr.per_torrent_entry_rates();
         const unsigned k = spec.num_files;
         const fluid::TransientSeries series = fluid::sample_trajectory(
-            fluid::mtcd_rhs(spec.fluid, rates, spec.arrival),
+            fluid::mtcd_system(spec.fluid, rates, spec.arrival),
             std::vector<double>(2 * k, 0.0), options);
         const std::vector<double> end = readout_state(series, spec);
         const double mod = readout_modulation(spec);
@@ -229,7 +229,7 @@ class FluidTransientBackend final : public Backend {
         // sequential visits of all classes: arrival rate lambda0 * p.
         const double rate = corr.per_torrent_total_rate();
         const fluid::TransientSeries series = fluid::sample_trajectory(
-            fluid::single_torrent_rhs(spec.fluid, rate, spec.arrival),
+            fluid::single_torrent_system(spec.fluid, rate, spec.arrival),
             {0.0, 0.0}, options);
         const double t_file =
             readout_state(series, spec)[0] / (rate * readout_modulation(spec));
@@ -248,7 +248,7 @@ class FluidTransientBackend final : public Backend {
         const fluid::CmfsdModel model =
             cmfsd_model(spec, outcome.class_entry_rates);
         const fluid::TransientSeries series = fluid::sample_trajectory(
-            model.rhs(spec.arrival),
+            model.system(spec.arrival),
             std::vector<double>(model.state_size(), 0.0), options);
         outcome.per_class =
             model.metrics_from_state(readout_state(series, spec));

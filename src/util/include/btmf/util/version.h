@@ -5,9 +5,9 @@ namespace btmf {
 
 inline constexpr int kVersionMajor = 1;
 inline constexpr int kVersionMinor = 0;
-inline constexpr int kVersionPatch = 2;
+inline constexpr int kVersionPatch = 3;
 
 /// "major.minor.patch"
-inline constexpr const char* kVersionString = "1.0.2";
+inline constexpr const char* kVersionString = "1.0.3";
 
 }  // namespace btmf
