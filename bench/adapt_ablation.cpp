@@ -44,7 +44,9 @@ double mean_final_rho(const btmf::sim::ReplicationSummary& summary,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "adapt_ablation", "Adapt mechanism evaluation under cheating peers");
@@ -136,4 +138,10 @@ int main(int argc, char** argv) {
               parser.get("csv").empty() ? ""
                                         : parser.get("csv") + ".traj.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

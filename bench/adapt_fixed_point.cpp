@@ -15,7 +15,9 @@
 #include "btmf/fluid/correlation.h"
 #include "btmf/sim/simulator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "adapt_fixed_point", "Adapt equilibrium rho: fluid vs simulation");
@@ -67,4 +69,10 @@ int main(int argc, char** argv) {
   bench::emit(table, "Adapt fixed point vs cheater fraction (K=5, p=0.9)",
               parser.get("csv"));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

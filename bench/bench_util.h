@@ -10,6 +10,7 @@
 #include <string>
 
 #include "btmf/util/cli.h"
+#include "btmf/util/error.h"
 #include "btmf/util/stopwatch.h"
 #include "btmf/util/table.h"
 
@@ -40,6 +41,19 @@ inline void emit(const util::Table& table, const std::string& caption,
   if (!csv_path.empty()) {
     table.save_csv(csv_path);
     std::cout << "\n(csv saved to " << csv_path << ")\n";
+  }
+}
+
+/// Every bench's main: runs body(argc, argv) and turns a btmf::Error that
+/// escapes it (a bad option, say) into "error: ..." on stderr and exit
+/// status 1, where the uncaught exception would abort the process.
+template <typename Body>
+int run_main(int argc, char** argv, Body body) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
 }
 

@@ -22,7 +22,9 @@
 #include "btmf/sim/simulator.h"
 #include "btmf/util/strings.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "churn_sweep", "recovery metrics per scheme under churn bursts");
@@ -125,4 +127,10 @@ int main(int argc, char** argv) {
     std::printf("(json saved to %s)\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

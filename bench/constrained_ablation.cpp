@@ -39,7 +39,9 @@ btmf::sim::SimResult run_single_torrent(double download_bw,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "constrained_ablation",
@@ -104,4 +106,10 @@ int main(int argc, char** argv) {
               parser.get("csv").empty() ? ""
                                         : parser.get("csv") + ".theta.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

@@ -21,7 +21,9 @@
 #include "bench_util.h"
 #include "btmf/sim/chunk_sim.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "emergent_eta", "chunk-level swarm: measured eta and upload shares");
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
               parser.get("csv").empty() ? ""
                                         : parser.get("csv") + ".gamma.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

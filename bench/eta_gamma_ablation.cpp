@@ -11,7 +11,9 @@
 #include "bench_util.h"
 #include "btmf/model/backend.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "eta_gamma_ablation",
@@ -67,4 +69,10 @@ int main(int argc, char** argv) {
       "gamma/mu ablation (K=10, p=0.9) — avg online time per file",
       parser.get("csv").empty() ? "" : parser.get("csv") + ".gamma.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

@@ -7,6 +7,8 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  return btmf::bench::run_figure_bench("fig2_mtcd_vs_mtsd", "fig2", argc,
-                                       argv);
+  return btmf::bench::run_main(argc, argv, [](int n, char** args) {
+    return btmf::bench::run_figure_bench("fig2_mtcd_vs_mtsd", "fig2", n,
+                                         args);
+  });
 }

@@ -10,5 +10,8 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  return btmf::bench::run_figure_bench("fig3_per_class", "fig3", argc, argv);
+  return btmf::bench::run_main(argc, argv, [](int n, char** args) {
+    return btmf::bench::run_figure_bench("fig3_per_class", "fig3", n,
+                                         args);
+  });
 }

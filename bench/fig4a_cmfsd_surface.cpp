@@ -9,6 +9,8 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  return btmf::bench::run_figure_bench("fig4a_cmfsd_surface", "fig4a", argc,
-                                       argv);
+  return btmf::bench::run_main(argc, argv, [](int n, char** args) {
+    return btmf::bench::run_figure_bench("fig4a_cmfsd_surface", "fig4a", n,
+                                         args);
+  });
 }

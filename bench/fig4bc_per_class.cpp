@@ -10,6 +10,8 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  return btmf::bench::run_figure_bench("fig4bc_per_class", "fig4bc", argc,
-                                       argv);
+  return btmf::bench::run_main(argc, argv, [](int n, char** args) {
+    return btmf::bench::run_figure_bench("fig4bc_per_class", "fig4bc", n,
+                                         args);
+  });
 }

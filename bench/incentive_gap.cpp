@@ -12,7 +12,9 @@
 #include "btmf/fluid/correlation.h"
 #include "btmf/fluid/incentives.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "incentive_gap", "conform-vs-defect download times under CMFSD");
@@ -45,4 +47,10 @@ int main(int argc, char** argv) {
                "the\nclassic social dilemma the Adapt mechanism (Sec. 4.3) "
                "exists to police.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

@@ -44,7 +44,9 @@ struct Averages {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "perf_chunk",
@@ -145,8 +147,10 @@ int main(int argc, char** argv) try {
     std::printf("(json saved to %s)\n", json_path.c_str());
   }
   return 0;
-} catch (const btmf::Error& error) {
-  // A bad option (say, a count that would wrap) ends the run cleanly.
-  std::fprintf(stderr, "error: %s\n", error.what());
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

@@ -59,7 +59,9 @@ struct Run {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::ArgParser parser = bench::make_parser(
       "perf_scale",
       "Sharded-kernel scale gate: 10M+ peers, wall time vs threads");
@@ -186,8 +188,10 @@ int main(int argc, char** argv) try {
     std::printf("(json saved to %s)\n", json_path.c_str());
   }
   return ok ? 0 : 1;
-} catch (const btmf::Error& error) {
-  // A bad option (say, a count that would wrap) ends the run cleanly.
-  std::fprintf(stderr, "error: %s\n", error.what());
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

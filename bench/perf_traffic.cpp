@@ -41,7 +41,9 @@ struct DemandRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "perf_traffic",
@@ -131,4 +133,10 @@ int main(int argc, char** argv) {
     std::printf("(json saved to %s)\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

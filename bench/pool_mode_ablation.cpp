@@ -20,7 +20,9 @@
 #include "bench_util.h"
 #include "btmf/sim/simulator.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "pool_mode_ablation",
@@ -74,4 +76,10 @@ int main(int argc, char** argv) {
                   ", p=" + parser.get("p") + ")",
               parser.get("csv"));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

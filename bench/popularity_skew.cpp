@@ -18,7 +18,9 @@
 #include "btmf/sim/simulator.h"
 #include "btmf/util/strings.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "popularity_skew", "Zipf popularity ablation: MTCD and CMFSD");
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
                   ", mean p=" + util::format_double(mean_p, 4) + ")",
               parser.get("csv"));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

@@ -23,7 +23,9 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "sim_vs_fluid",
@@ -89,4 +91,10 @@ int main(int argc, char** argv) {
   bench::emit(table, "Simulation vs fluid model — average online time/file",
               parser.get("csv"));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }

@@ -12,7 +12,9 @@
 #include "btmf/fluid/single_torrent.h"
 #include "btmf/model/backend.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace btmf;
   util::ArgParser parser = bench::make_parser(
       "validation_degenerate",
@@ -57,4 +59,10 @@ int main(int argc, char** argv) {
   bench::emit(table, "Model validation — degeneracies and identities",
               parser.get("csv"));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return btmf::bench::run_main(argc, argv, bench_main);
 }
