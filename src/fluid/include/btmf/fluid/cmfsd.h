@@ -55,7 +55,6 @@
 #include "btmf/fluid/demand.h"
 #include "btmf/fluid/metrics.h"
 #include "btmf/fluid/params.h"
-#include "btmf/math/equilibrium.h"
 #include "btmf/math/ode.h"
 #include "btmf/math/rosenbrock.h"
 
@@ -115,13 +114,11 @@ class CmfsdModel {
       const ArrivalProcess& arrival = {}) const;
 
   /// The steady state, as the root of the scalar pool-rate equation (see
-  /// the file comment). Only options.residual_tol is used: the point must
-  /// satisfy the full RHS to it. Throws btmf::SolverError, naming the
-  /// condition, when sum_i i lambda_i <= mu sum_i lambda_i / gamma (no
-  /// steady state exists).
-  [[nodiscard]] CmfsdEquilibrium solve(
-      const math::EquilibriumOptions& options = default_solve_options())
-      const;
+  /// the file comment). The point must satisfy the full RHS to a scaled
+  /// residual of 1e-9. Throws btmf::SolverError, naming the condition,
+  /// when sum_i i lambda_i <= mu sum_i lambda_i / gamma (no steady state
+  /// exists).
+  [[nodiscard]] CmfsdEquilibrium solve() const;
 
   /// Per-class metrics evaluated at an arbitrary state (used both by
   /// solve() and by tests that integrate the transient by hand).
@@ -133,8 +130,6 @@ class CmfsdModel {
   }
 
   [[nodiscard]] const FluidParams& params() const { return params_; }
-
-  [[nodiscard]] static math::EquilibriumOptions default_solve_options();
 
  private:
   FluidParams params_;

@@ -255,19 +255,8 @@ math::OdeSystem CmfsdModel::system(const ArrivalProcess& arrival) const {
   return ode;
 }
 
-math::EquilibriumOptions CmfsdModel::default_solve_options() {
-  math::EquilibriumOptions options;
-  options.residual_tol = 1e-9;
-  options.chunk_time = 2000.0;  // several seeding residences (1/gamma = 20)
-  options.chunk_growth = 1.5;
-  options.max_chunks = 40;
-  options.ode.rtol = 1e-9;
-  options.ode.atol = 1e-12;
-  return options;
-}
-
-CmfsdEquilibrium CmfsdModel::solve(
-    const math::EquilibriumOptions& options) const {
+CmfsdEquilibrium CmfsdModel::solve() const {
+  constexpr double kResidualTol = 1e-9;
   const double mu = params_.mu;
   const double gamma = params_.gamma;
   double demand = 0.0;  // sum_i i lambda_i
@@ -331,11 +320,11 @@ CmfsdEquilibrium CmfsdModel::solve(
   rhs()(0.0, result.state, residual);
   result.residual_inf =
       math::norm_inf(residual) / (1.0 + math::norm_inf(result.state));
-  if (!(result.residual_inf <= options.residual_tol)) {
+  if (!(result.residual_inf <= kResidualTol)) {
     std::ostringstream message;
     message << "CMFSD: the pool-rate root S = " << pool
             << " leaves residual " << result.residual_inf << " above "
-            << options.residual_tol;
+            << kResidualTol;
     throw SolverError(message.str());
   }
   result.metrics = metrics_from_state(result.state);

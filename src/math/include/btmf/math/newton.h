@@ -22,7 +22,6 @@ using VectorField =
 struct NewtonOptions {
   double tol = 1e-10;          ///< stop when ||F(x)||_inf <= tol
   std::size_t max_iterations = 100;
-  double jacobian_eps = 1e-7;  ///< relative FD perturbation
   double min_damping = 1.0 / 1024.0;
   /// Optional projection applied after each update (e.g. clamp populations
   /// to be non-negative). May be empty.

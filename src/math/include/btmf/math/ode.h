@@ -43,10 +43,8 @@ struct AdaptiveOptions {
 
   /// Optional Chrome-trace writer (non-owning, null = inert): the whole
   /// integration becomes one "ode.integrate" span stamped with the
-  /// accepted/rejected step counts. With trace_steps, every accepted step
-  /// additionally emits an instant event — verbose, debugging only.
+  /// accepted/rejected step counts.
   obs::TraceWriter* trace = nullptr;
-  bool trace_steps = false;
 };
 
 struct AdaptiveResult {

@@ -48,8 +48,7 @@ NewtonResult newton_solve(const VectorField& f, std::vector<double> x0,
       result.converged = true;
       return result;
     }
-    const Matrix jac =
-        numerical_jacobian(f, result.x, options.jacobian_eps);
+    const Matrix jac = numerical_jacobian(f, result.x);
     const LuDecomposition lu(jac);
     // Newton step solves J d = -F.
     std::vector<double> neg_f(fx);

@@ -140,11 +140,6 @@ AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
       const bool clamped =
           options.clamp_nonnegative && clamp_nonnegative(result.y);
       ++result.accepted_steps;
-      if (options.trace != nullptr && options.trace_steps) {
-        std::ostringstream args;
-        args << "{\"t\": " << result.t << ", \"dt\": " << h << "}";
-        options.trace->instant("ode.step", args.str());
-      }
       if (observer) observer(result.t, result.y);
       // FSAL: k_6, evaluated at (t + h, y5), is the next step's k_0 —
       // unless the clip moved the state off y5.

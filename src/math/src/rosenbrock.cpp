@@ -209,11 +209,6 @@ AdaptiveResult integrate_rosenbrock(const OdeSystem& system,
       if (options.clamp_nonnegative) clamp_nonnegative(result.y);
       fresh = false;
       ++result.accepted_steps;
-      if (options.trace != nullptr && options.trace_steps) {
-        std::ostringstream args;
-        args << "{\"t\": " << result.t << ", \"dt\": " << h << "}";
-        options.trace->instant("ode.step", args.str());
-      }
     } else {
       ++result.rejected_steps;
     }

@@ -31,17 +31,9 @@
 namespace btmf::model {
 
 struct BackendCapabilities {
-  /// Bit-identical outcomes for identical specs (all four backends; the
-  /// stochastic ones are deterministic *per seed*).
-  bool deterministic = true;
   /// Finite-sample Monte-Carlo noise: conformance comparisons against a
   /// fluid backend need a statistical tolerance, not an analytic one.
   bool monte_carlo = false;
-  /// The outcome approximates the fluid steady state (false would mean a
-  /// purely transient quantity; all current backends report steady-ish
-  /// long-run metrics).
-  bool steady_state = true;
-  bool per_class = true;           ///< per-class metrics populated
   bool trajectory = false;         ///< Outcome::trajectory attached
   bool sim_counters = false;       ///< Outcome::sim attached
 

@@ -19,17 +19,31 @@
 #include <string>
 #include <vector>
 
-#include "btmf/fluid/cmfsd.h"
 #include "btmf/fluid/correlation.h"
 #include "btmf/fluid/demand.h"
 #include "btmf/fluid/params.h"
 #include "btmf/fluid/schemes.h"
-#include "btmf/math/equilibrium.h"
+#include "btmf/obs/trace.h"
 #include "btmf/sim/chunk_sim.h"
 #include "btmf/sim/config.h"
 #include "btmf/sim/faults.h"
 
 namespace btmf::model {
+
+/// The fluid solver settings a result can depend on: the tolerances and
+/// step budget of fluid-transient's integrators, the three values
+/// robust::escalate_spec tightens on retry. fluid-equilibrium reads none
+/// of them; CMFSD's steady state is a scalar root with a fixed residual
+/// check.
+struct SolverSettings {
+  double rtol = 1e-9;
+  double atol = 1e-12;
+  std::size_t max_steps = 1'000'000;
+  /// Optional Chrome-trace writer (non-owning, null = inert) that
+  /// fluid-transient hands to both of its integrators. Not fingerprinted:
+  /// tracing moves no result.
+  obs::TraceWriter* trace = nullptr;
+};
 
 struct ScenarioSpec {
   // --- scenario: the paper's Sec. 4 inputs -------------------------------
@@ -60,10 +74,7 @@ struct ScenarioSpec {
   std::vector<double> rho_per_class;
 
   // --- fluid backends ----------------------------------------------------
-  /// Steady-state solver settings (fluid-equilibrium) and the ODE
-  /// tolerances inside (shared with fluid-transient).
-  math::EquilibriumOptions solver =
-      fluid::CmfsdModel::default_solve_options();
+  SolverSettings solver{};
   /// Uniform sample count of the fluid-transient trajectory (incl. t = 0).
   std::size_t transient_samples = 200;
 

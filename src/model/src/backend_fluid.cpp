@@ -12,6 +12,7 @@
 #include <span>
 
 #include "backends.h"
+#include "btmf/fluid/cmfsd.h"
 #include "btmf/fluid/mfcd.h"
 #include "btmf/fluid/mtcd.h"
 #include "btmf/fluid/mtsd.h"
@@ -157,8 +158,7 @@ class FluidEquilibriumBackend final : public Backend {
       }
       case fluid::SchemeKind::kCmfsd: {
         outcome.per_class =
-            cmfsd_model(spec, outcome.class_entry_rates).solve(spec.solver)
-                .metrics;
+            cmfsd_model(spec, outcome.class_entry_rates).solve().metrics;
         break;
       }
     }
@@ -191,7 +191,10 @@ class FluidTransientBackend final : public Backend {
     fluid::TransientOptions options;
     options.t_end = spec.horizon;
     options.samples = spec.transient_samples;
-    options.ode = spec.solver.ode;
+    options.ode.rtol = spec.solver.rtol;
+    options.ode.atol = spec.solver.atol;
+    options.ode.max_steps = spec.solver.max_steps;
+    options.ode.trace = spec.solver.trace;
     options.breakpoints = spec.arrival.breakpoints(0.0, spec.horizon);
 
     switch (spec.scheme) {

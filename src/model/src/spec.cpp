@@ -84,15 +84,8 @@ std::string ScenarioSpec::fingerprint() const {
       ";rho=" + exact(rho);
   out += ";rho_per_class=";
   append_doubles(out, rho_per_class);
-  out += ";solver=" + exact(solver.residual_tol) + ',' +
-         exact(solver.chunk_time) + ',' + exact(solver.chunk_growth) + ',' +
-         std::to_string(solver.max_chunks) + ',' +
-         (solver.polish_with_newton ? '1' : '0') + ',' +
-         (solver.clamp_nonnegative ? '1' : '0');
-  out += ";ode=" + exact(solver.ode.rtol) + ',' + exact(solver.ode.atol) +
-         ',' + exact(solver.ode.initial_dt) + ',' + exact(solver.ode.max_dt) +
-         ',' + std::to_string(solver.ode.max_steps) + ',' +
-         (solver.ode.clamp_nonnegative ? '1' : '0');
+  out += ";ode=" + exact(solver.rtol) + ',' + exact(solver.atol) + ',' +
+         std::to_string(solver.max_steps);
   out += ";samples=" + std::to_string(transient_samples);
   out += ";horizon=" + exact(horizon) + ";warmup=" + exact(warmup) +
          ";seed=" + std::to_string(seed) +

@@ -1,6 +1,8 @@
 #include "btmf/model/wire.h"
 
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <vector>
@@ -46,6 +48,18 @@ unsigned to_unsigned(std::string_view s, std::string_view what,
               std::to_string(std::numeric_limits<unsigned>::max()));
   }
   return static_cast<unsigned>(v);
+}
+
+/// The full unsigned 64-bit range: a seed of 2^63 or more must decode
+/// to what encode_spec wrote.
+std::uint64_t to_u64(std::string_view s, std::string_view what) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    malformed(std::string(what) + " must be an integer in [0, 2^64), got '" +
+              std::string(s) + "'");
+  }
+  return v;
 }
 
 std::vector<std::string> fields_of(std::string_view value,
@@ -162,31 +176,17 @@ ScenarioSpec decode_spec(std::string_view wire) {
   spec.rho_per_class = double_list(take("rho_per_class"), "rho_per_class");
 
   {
-    const auto f = fields_of(take("solver"), "solver", 6);
-    spec.solver.residual_tol = to_double(f[0], "solver residual_tol");
-    spec.solver.chunk_time = to_double(f[1], "solver chunk_time");
-    spec.solver.chunk_growth = to_double(f[2], "solver chunk_growth");
-    spec.solver.max_chunks =
-        static_cast<std::size_t>(to_count(f[3], "solver max_chunks", 1));
-    spec.solver.polish_with_newton = to_bool(f[4], "solver polish");
-    spec.solver.clamp_nonnegative = to_bool(f[5], "solver clamp");
-  }
-  {
-    const auto f = fields_of(take("ode"), "ode", 6);
-    spec.solver.ode.rtol = to_double(f[0], "ode rtol");
-    spec.solver.ode.atol = to_double(f[1], "ode atol");
-    spec.solver.ode.initial_dt = to_double(f[2], "ode initial_dt");
-    spec.solver.ode.max_dt = to_double(f[3], "ode max_dt");
-    spec.solver.ode.max_steps =
-        static_cast<std::size_t>(to_count(f[4], "ode max_steps", 1));
-    spec.solver.ode.clamp_nonnegative = to_bool(f[5], "ode clamp");
+    const auto f = fields_of(take("ode"), "ode", 3);
+    spec.solver.rtol = to_double(f[0], "ode rtol");
+    spec.solver.atol = to_double(f[1], "ode atol");
+    spec.solver.max_steps =
+        static_cast<std::size_t>(to_count(f[2], "ode max_steps", 1));
   }
   spec.transient_samples =
       static_cast<std::size_t>(to_count(take("samples"), "samples", 2));
   spec.horizon = to_double(take("horizon"), "horizon");
   spec.warmup = to_double(take("warmup"), "warmup");
-  spec.seed =
-      static_cast<std::uint64_t>(to_count(take("seed"), "seed", 0));
+  spec.seed = to_u64(take("seed"), "seed");
   spec.cheater_fraction = to_double(take("cheaters"), "cheaters");
   spec.abort_rate = to_double(take("theta"), "theta");
   {

@@ -6,9 +6,8 @@
 // results the useful lever is the solver configuration itself, so the
 // supervisor exposes the attempt number and this hook maps it onto the
 // ScenarioSpec: each retry climbs one rung of a ladder that tightens the
-// ODE tolerances and raises the step budget of spec.solver.ode, the part
-// of the solver options a backend reads (fluid-transient integrates with
-// it; fluid-equilibrium's CMFSD root reads only solver.residual_tol).
+// ODE tolerances and raises the step budget in spec.solver, which
+// fluid-transient integrates with.
 //
 // Determinism note: escalated specs produce *different* (better) numbers
 // than the base spec would. The sweep engine therefore only uses this

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -21,6 +23,7 @@
 #include "btmf/serve/protocol.h"
 #include "btmf/sweep/cache.h"
 #include "btmf/util/error.h"
+#include "btmf/util/strings.h"
 
 namespace btmf::serve {
 namespace {
@@ -32,8 +35,9 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// Rebinds one named axis of `spec` to `value` (the sweep request's knob).
-/// Throws btmf::ConfigError on an unknown axis name; range violations are
-/// caught by the validate() the caller performs per point.
+/// Throws btmf::ConfigError on an unknown axis name or a seed that is not
+/// an integer in [0, 2^64), which no cast could carry; other range
+/// violations are caught by the validate() the caller performs per point.
 model::ScenarioSpec apply_axis(const model::ScenarioSpec& spec,
                                const std::string& axis, double value) {
   model::ScenarioSpec out = spec;
@@ -57,6 +61,10 @@ model::ScenarioSpec apply_axis(const model::ScenarioSpec& spec,
   } else if (axis == "horizon") {
     out.horizon = value;
   } else if (axis == "seed") {
+    if (!(value >= 0.0 && value < 0x1p64 && value == std::floor(value))) {
+      throw ConfigError("seed must be an integer in [0, 2^64), got " +
+                        util::format_double_exact(value));
+    }
     out.seed = static_cast<std::uint64_t>(value);
   } else {
     throw ConfigError(
@@ -413,8 +421,8 @@ struct Daemon::Impl {
 
   std::string handle_sweep(const Request& request) {
     // An unknown axis poisons every point equally: whole-request error.
-    (void)apply_axis(request.spec, request.axis,
-                     request.values.empty() ? 0.0 : request.values.front());
+    // The probe value 0 is valid on every axis, so only the name can fail.
+    (void)apply_axis(request.spec, request.axis, 0.0);
 
     std::vector<PointReply> replies(request.values.size());
     std::vector<std::shared_ptr<Pending>> waits(request.values.size());

@@ -5,9 +5,9 @@ namespace btmf {
 
 inline constexpr int kVersionMajor = 1;
 inline constexpr int kVersionMinor = 0;
-inline constexpr int kVersionPatch = 3;
+inline constexpr int kVersionPatch = 4;
 
 /// "major.minor.patch"
-inline constexpr const char* kVersionString = "1.0.3";
+inline constexpr const char* kVersionString = "1.0.4";
 
 }  // namespace btmf

@@ -176,9 +176,15 @@ TEST(CmfsdTest, NewtonFromScratchAgreesWithPoolRateRoot) {
 void expect_root_matches_integration(const CmfsdModel& model,
                                      const std::string& label) {
   const CmfsdEquilibrium root = model.solve();
+  math::EquilibriumOptions options;
+  options.residual_tol = 1e-9;
+  options.chunk_time = 2000.0;  // several seeding residences (1/gamma = 20)
+  options.chunk_growth = 1.5;
+  options.max_chunks = 40;
+  options.ode.rtol = 1e-9;
+  options.ode.atol = 1e-12;
   const math::EquilibriumResult oracle = math::find_equilibrium(
-      model.rhs(), std::vector<double>(model.state_size(), 0.0),
-      CmfsdModel::default_solve_options());
+      model.rhs(), std::vector<double>(model.state_size(), 0.0), options);
   // The oracle resolves the state to its residual tolerance, scaled by
   // the largest population: a class entering at 1e-16 of the busiest
   // one's rate has populations below that resolution, so per-class

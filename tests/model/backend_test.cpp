@@ -1,12 +1,15 @@
 // The Backend seam: registry contents, typed unsupported/failed outcomes
-// (no backend may crash on an out-of-domain spec), capability gating, and
-// per-seed determinism of the stochastic backends.
+// (no backend may crash on an out-of-domain spec), capability gating,
+// per-seed determinism of the stochastic backends, and the spec's solver
+// trace hook.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "btmf/model/backend.h"
+#include "btmf/obs/trace.h"
 #include "btmf/util/error.h"
 
 namespace btmf::model {
@@ -201,6 +204,45 @@ TEST(ModelBackendTest, StochasticBackendsAreDeterministicPerSeed) {
   spec.seed = 8;
   const Outcome other = kernel.evaluate_or_throw(spec);
   EXPECT_NE(first.avg_online_per_file, other.avg_online_per_file);
+}
+
+// spec.solver.trace reaches both of fluid-transient's integrators: every
+// sample interval leaves at least one ode.integrate span, whether dopri5
+// or RODAS3 took it, and tracing moves no number.
+TEST(ModelBackendTest, FluidTransientTracesItsIntegratorsInertly) {
+  const Backend& transient = require_backend("fluid-transient");
+  ScenarioSpec spec;
+  spec.correlation = 0.5;
+  spec.rho = 0.5;
+  spec.horizon = 40000.0;  // long enough for the stiff tail to go implicit
+  const Outcome plain = transient.evaluate_or_throw(spec);
+
+  obs::TraceWriter trace("solver");
+  spec.solver.trace = &trace;
+  const Outcome traced = transient.evaluate_or_throw(spec);
+  const std::string json = trace.to_json();
+  std::size_t spans = 0;
+  double accepted = 0.0;
+  const std::string tag = "\"ode.integrate\"";
+  const std::string key = "\"accepted\": ";
+  for (std::size_t at = json.find(tag); at != std::string::npos;
+       at = json.find(tag, at + tag.size())) {
+    ++spans;
+    const std::size_t count = json.find(key, at);
+    ASSERT_NE(count, std::string::npos);
+    accepted += std::strtod(json.c_str() + count + key.size(), nullptr);
+  }
+  EXPECT_GE(spans, spec.transient_samples - 1);
+  EXPECT_GT(accepted, 0.0);
+
+  EXPECT_EQ(traced.avg_online_per_file, plain.avg_online_per_file);
+  EXPECT_EQ(traced.avg_download_per_file, plain.avg_download_per_file);
+  EXPECT_EQ(traced.per_class.online_time, plain.per_class.online_time);
+  EXPECT_EQ(traced.per_class.download_time, plain.per_class.download_time);
+  ASSERT_TRUE(traced.trajectory.has_value());
+  ASSERT_TRUE(plain.trajectory.has_value());
+  EXPECT_EQ(traced.trajectory->downloaders, plain.trajectory->downloaders);
+  EXPECT_EQ(traced.trajectory->seeds, plain.trajectory->seeds);
 }
 
 TEST(ModelBackendTest, AttachmentsMatchDeclaredCapabilities) {

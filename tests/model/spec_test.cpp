@@ -18,8 +18,8 @@ namespace {
 
 using Mutation = std::pair<std::string, std::function<void(ScenarioSpec&)>>;
 
-// One mutation per ScenarioSpec field (solver/ODE sub-fields and Adapt
-// knobs included). Each leaves every other field at its default.
+// One mutation per fingerprinted ScenarioSpec field (solver sub-fields
+// and Adapt knobs included). Each leaves every other field at its default.
 std::vector<Mutation> field_mutations() {
   std::vector<Mutation> m;
   auto add = [&m](std::string name, std::function<void(ScenarioSpec&)> fn) {
@@ -36,28 +36,9 @@ std::vector<Mutation> field_mutations() {
   add("rho_per_class", [](ScenarioSpec& s) {
     s.rho_per_class.assign(s.num_files, 0.3);
   });
-  add("solver.residual_tol",
-      [](ScenarioSpec& s) { s.solver.residual_tol *= 10.0; });
-  add("solver.chunk_time", [](ScenarioSpec& s) { s.solver.chunk_time = 123.0; });
-  add("solver.chunk_growth",
-      [](ScenarioSpec& s) { s.solver.chunk_growth = 3.0; });
-  add("solver.max_chunks", [](ScenarioSpec& s) { s.solver.max_chunks += 1; });
-  add("solver.polish_with_newton", [](ScenarioSpec& s) {
-    s.solver.polish_with_newton = !s.solver.polish_with_newton;
-  });
-  add("solver.clamp_nonnegative", [](ScenarioSpec& s) {
-    s.solver.clamp_nonnegative = !s.solver.clamp_nonnegative;
-  });
-  add("solver.ode.rtol", [](ScenarioSpec& s) { s.solver.ode.rtol *= 10.0; });
-  add("solver.ode.atol", [](ScenarioSpec& s) { s.solver.ode.atol *= 10.0; });
-  add("solver.ode.initial_dt",
-      [](ScenarioSpec& s) { s.solver.ode.initial_dt = 0.5; });
-  add("solver.ode.max_dt", [](ScenarioSpec& s) { s.solver.ode.max_dt = 7.0; });
-  add("solver.ode.max_steps",
-      [](ScenarioSpec& s) { s.solver.ode.max_steps += 1; });
-  add("solver.ode.clamp_nonnegative", [](ScenarioSpec& s) {
-    s.solver.ode.clamp_nonnegative = !s.solver.ode.clamp_nonnegative;
-  });
+  add("solver.rtol", [](ScenarioSpec& s) { s.solver.rtol *= 10.0; });
+  add("solver.atol", [](ScenarioSpec& s) { s.solver.atol *= 10.0; });
+  add("solver.max_steps", [](ScenarioSpec& s) { s.solver.max_steps += 1; });
   add("transient_samples", [](ScenarioSpec& s) { s.transient_samples = 100; });
   add("horizon", [](ScenarioSpec& s) { s.horizon = 5000.0; });
   add("warmup", [](ScenarioSpec& s) { s.warmup = 1000.0; });

@@ -25,12 +25,13 @@ ScenarioSpec loaded_spec() {
   spec.scheme = fluid::SchemeKind::kCmfsd;
   spec.rho = 0.5;
   spec.rho_per_class = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7};
-  spec.solver.ode.rtol = 1e-9;
-  spec.solver.ode.atol = 1e-11;
+  spec.solver.rtol = 1e-8;
+  spec.solver.atol = 1e-11;
+  spec.solver.max_steps = 250'000;
   spec.transient_samples = 333;
   spec.horizon = 4321.5;
   spec.warmup = 1000.25;
-  spec.seed = 987654321;
+  spec.seed = 18'446'744'073'709'551'615u;  // 2^64 - 1
   spec.cheater_fraction = 0.125;
   spec.abort_rate = 0.0625;
   spec.adapt.enabled = true;
@@ -93,6 +94,17 @@ TEST(ModelWireTest, RejectsUnknownAndDuplicateKeys) {
   const std::string wire = encode_spec(ScenarioSpec{});
   EXPECT_THROW(decode_spec(wire + ";mystery=1"), ConfigError);
   EXPECT_THROW(decode_spec(wire + ";k=10"), ConfigError);
+  // The default spec as library version 1.0.3 encoded it, with its
+  // solver= key and six ode= fields.
+  EXPECT_THROW(
+      decode_spec(
+          "k=10;p=0.5;lambda0=1;mu=0.02;eta=0.5;gamma=0.05;scheme=CMFSD;"
+          "rho=0;rho_per_class=;solver=1e-09,2000,1.5,40,1,1;"
+          "ode=1e-09,1e-12,0,0,1000000,0;samples=200;horizon=6000;"
+          "warmup=1500;seed=42;cheaters=0;theta=0;"
+          "adapt=0,0,20,-0.005,0.005,0.1,0.1,2;faults=;chunks=32;"
+          "piece=rarest-first;suppress=0.9"),
+      ConfigError);
 }
 
 TEST(ModelWireTest, DemandKeysRoundTripOnTheWire) {

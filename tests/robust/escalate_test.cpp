@@ -16,18 +16,18 @@ TEST(RobustEscalateTest, AttemptZeroIsTheSpecUnchanged) {
 TEST(RobustEscalateTest, EachRungTightensTheSolver) {
   model::ScenarioSpec spec;
   const model::ScenarioSpec r1 = escalate_spec(spec, 1);
-  EXPECT_LT(r1.solver.ode.rtol, spec.solver.ode.rtol);
-  EXPECT_LT(r1.solver.ode.atol, spec.solver.ode.atol);
-  EXPECT_GT(r1.solver.ode.max_steps, spec.solver.ode.max_steps);
+  EXPECT_LT(r1.solver.rtol, spec.solver.rtol);
+  EXPECT_LT(r1.solver.atol, spec.solver.atol);
+  EXPECT_GT(r1.solver.max_steps, spec.solver.max_steps);
   const model::ScenarioSpec r2 = escalate_spec(spec, 2);
-  EXPECT_LE(r2.solver.ode.rtol, r1.solver.ode.rtol);
+  EXPECT_LE(r2.solver.rtol, r1.solver.rtol);
 }
 
 TEST(RobustEscalateTest, TolerancesFloorInsteadOfUnderflowing) {
   model::ScenarioSpec spec;
   const model::ScenarioSpec deep = escalate_spec(spec, 20);
-  EXPECT_GE(deep.solver.ode.rtol, 1e-13);
-  EXPECT_GE(deep.solver.ode.atol, 1e-14);
+  EXPECT_GE(deep.solver.rtol, 1e-13);
+  EXPECT_GE(deep.solver.atol, 1e-14);
 }
 
 TEST(RobustEscalateTest, RungIsAPureFunctionOfSpecAndAttempt) {
@@ -36,7 +36,7 @@ TEST(RobustEscalateTest, RungIsAPureFunctionOfSpecAndAttempt) {
   const model::ScenarioSpec a = escalate_spec(spec, 3);
   const model::ScenarioSpec b = escalate_spec(spec, 3);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  EXPECT_EQ(a.solver.ode.rtol, b.solver.ode.rtol);
+  EXPECT_EQ(a.solver.rtol, b.solver.rtol);
   // Escalation only touches solver knobs, never the scenario itself.
   EXPECT_EQ(a.correlation, spec.correlation);
   EXPECT_EQ(a.num_files, spec.num_files);

@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -440,6 +442,17 @@ TEST_F(ServeDaemonTest, SweepAnswersPerPointWithTypedErrors) {
   EXPECT_TRUE(replies[1].ok) << replies[1].message;
   EXPECT_FALSE(replies[2].ok);
   EXPECT_EQ(replies[2].code, ErrorCode::kBadRequest);
+
+  // A seed no uint64 holds exactly is refused per point, never cast.
+  const std::vector<EvalReply> seeds = client.sweep(
+      "fluid-equilibrium", "seed",
+      {7.0, -1.0, 2.5, std::numeric_limits<double>::quiet_NaN()}, spec);
+  ASSERT_EQ(seeds.size(), 4u);
+  EXPECT_TRUE(seeds[0].ok) << seeds[0].message;
+  for (std::size_t i = 1; i < seeds.size(); ++i) {
+    EXPECT_FALSE(seeds[i].ok) << i;
+    EXPECT_EQ(seeds[i].code, ErrorCode::kBadRequest) << i;
+  }
 
   // An unknown axis refuses the whole request, uniformly.
   const std::vector<EvalReply> unknown =
