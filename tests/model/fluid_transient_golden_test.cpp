@@ -7,16 +7,22 @@
 // spec, and K = 1. The literals were captured with dopri5 integrating
 // the whole trajectory; the comparison is relative at 1e-9, the level
 // at which the integrator choice may move them (a trajectory's samples
-// are held to rtol 1e-9 either way).
+// are held to rtol 1e-9 either way). Every sample of the attached
+// trajectory is also checked against dopri5 alone at rtol 1e-12.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "btmf/fluid/cmfsd.h"
 #include "btmf/fluid/demand.h"
+#include "btmf/fluid/mtcd.h"
 #include "btmf/fluid/schemes.h"
+#include "btmf/fluid/single_torrent.h"
+#include "btmf/fluid/transient.h"
 #include "btmf/model/backend.h"
 #include "btmf/util/strings.h"
 
@@ -296,6 +302,122 @@ TEST(FluidTransientGoldenTest, HeadlinesMatchTheCapturedLiterals) {
       expect_close(outcome.per_class.online_time[i], golden.online[i],
                    cases[c].name + " class " + std::to_string(i + 1));
     }
+  }
+}
+
+/// Counts the factorisations, i.e. the implicit steps attempted.
+class CountingStages final : public math::StageSolver {
+ public:
+  CountingStages(std::unique_ptr<math::StageSolver> inner, std::size_t* count)
+      : inner_(std::move(inner)), count_(count) {}
+  void factor(double t, std::span<const double> y, double c) override {
+    ++*count_;
+    inner_->factor(t, y, c);
+  }
+  void solve(std::span<double> r) const override { inner_->solve(r); }
+
+ private:
+  std::unique_ptr<math::StageSolver> inner_;
+  std::size_t* count_;
+};
+
+/// The spec's trajectory as the backend attaches it (total downloaders,
+/// then total seeds, per sample), integrated by dopri5 alone at rtol
+/// 1e-12: a max_dt of 10 keeps every step inside its stability bound, so
+/// no step goes to RODAS3 (checked by counting factorisations).
+std::vector<std::vector<double>> dopri5_reference(const ScenarioSpec& spec) {
+  const fluid::CorrelationModel corr = spec.correlation_model();
+  fluid::TransientOptions options;
+  options.t_end = spec.horizon;
+  options.samples = spec.transient_samples;
+  options.ode.rtol = 1e-12;
+  options.ode.atol = 1e-15;
+  options.ode.max_dt = 10.0;
+  options.breakpoints = spec.arrival.breakpoints(0.0, spec.horizon);
+  const unsigned k = spec.num_files;
+  std::size_t factors = 0;
+  const auto sample = [&](math::OdeSystem system, std::size_t size,
+                          const auto& downloaders, const auto& seeds) {
+    system.stages = [inner = system.stages, &factors] {
+      return std::make_unique<CountingStages>(inner(), &factors);
+    };
+    const fluid::TransientSeries series = fluid::sample_trajectory(
+        system, std::vector<double>(size, 0.0), options);
+    EXPECT_EQ(factors, 0u);
+    return std::vector<std::vector<double>>{series.map(downloaders),
+                                            series.map(seeds)};
+  };
+  const auto first = [](unsigned count) {
+    return [count](std::span<const double> y) {
+      double total = 0.0;
+      for (unsigned i = 0; i < count; ++i) total += y[i];
+      return total;
+    };
+  };
+  const auto second = [](unsigned count) {
+    return [count](std::span<const double> y) {
+      double total = 0.0;
+      for (unsigned i = 0; i < count; ++i) total += y[count + i];
+      return total;
+    };
+  };
+  switch (spec.scheme) {
+    case SchemeKind::kMtcd:
+    case SchemeKind::kMfcd:
+      return sample(fluid::mtcd_system(spec.fluid,
+                                       corr.per_torrent_entry_rates(),
+                                       spec.arrival),
+                    2 * k, first(k), second(k));
+    case SchemeKind::kMtsd:
+      return sample(fluid::single_torrent_system(
+                        spec.fluid, corr.per_torrent_total_rate(),
+                        spec.arrival),
+                    2, first(1), second(1));
+    case SchemeKind::kCmfsd: {
+      const fluid::CmfsdModel model(spec.fluid, corr.system_entry_rates(),
+                                    spec.rho);
+      return sample(
+          model.system(spec.arrival), model.state_size(),
+          [&](std::span<const double> y) {
+            double total = 0.0;
+            for (unsigned i = 1; i <= k; ++i) {
+              for (unsigned j = 1; j <= i; ++j) total += y[model.x_index(i, j)];
+            }
+            return total;
+          },
+          [&](std::span<const double> y) {
+            double total = 0.0;
+            for (unsigned i = 1; i <= k; ++i) total += y[model.y_index(i)];
+            return total;
+          });
+    }
+  }
+  return {};
+}
+
+TEST(FluidTransientGoldenTest, EverySampleMatchesATightDopri5Reference) {
+  // Relative to 1 + |want|, so the empty torrent's first samples are
+  // held absolutely. The bound is the worst sample of the trajectories
+  // split at every sample time (4.6e-9, CMFSD p = 0.95), rounded up.
+  constexpr double kSampleTol = 1e-8;
+  const Backend& backend = require_backend("fluid-transient");
+  for (const GoldenCase& golden : golden_cases()) {
+    const Outcome outcome = backend.evaluate_or_throw(golden.spec);
+    ASSERT_TRUE(outcome.trajectory.has_value()) << golden.name;
+    const std::vector<std::vector<double>> want =
+        dopri5_reference(golden.spec);
+    const std::vector<double>* got[] = {&outcome.trajectory->downloaders,
+                                        &outcome.trajectory->seeds};
+    double worst = 0.0;
+    for (std::size_t series = 0; series < 2; ++series) {
+      ASSERT_EQ(got[series]->size(), want[series].size()) << golden.name;
+      for (std::size_t s = 0; s < want[series].size(); ++s) {
+        const double w = want[series][s];
+        worst = std::max(worst, std::abs((*got[series])[s] - w) /
+                                    (1.0 + std::abs(w)));
+      }
+    }
+    EXPECT_LE(worst, kSampleTol) << golden.name;
   }
 }
 
