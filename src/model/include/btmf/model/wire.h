@@ -26,7 +26,8 @@ namespace btmf::model {
 
 /// Exact inverse of encode_spec. Requires every fingerprint key exactly
 /// once (order-insensitive) and rejects unknown keys, so a spec from a
-/// different library generation fails loudly instead of half-parsing.
+/// different library generation fails loudly instead of half-parsing,
+/// and any whitespace byte, so no padded wire names an encoded spec.
 /// The decoded spec is validate()d before it is returned. Throws
 /// btmf::ConfigError on any malformed input.
 [[nodiscard]] ScenarioSpec decode_spec(std::string_view wire);

@@ -143,6 +143,13 @@ std::string encode_spec(const ScenarioSpec& spec) {
 }
 
 ScenarioSpec decode_spec(std::string_view wire) {
+  // The wire is canonical and whitespace-free. The number parsers trim
+  // their input, as the CLI grammars want, so a padded field would decode
+  // to the spec of the unpadded wire: two wires would name one spec.
+  if (const std::size_t at = wire.find_first_of(" \t\n\v\f\r");
+      at != std::string_view::npos) {
+    malformed("whitespace at byte " + std::to_string(at));
+  }
   // Gather key=value tokens; duplicates and unknowns are structural errors.
   std::map<std::string, std::string> fields;
   for (const std::string& token : util::split(wire, ';')) {

@@ -125,6 +125,34 @@ TEST(ModelWireTest, DemandKeysRoundTripOnTheWire) {
   EXPECT_EQ(decoded.epidemic_replications, 16u);
 }
 
+TEST(ModelWireTest, RejectsWhitespacePaddedNumbers) {
+  // Every field away from its default, so each padding below lands in a
+  // field the encoder wrote.
+  ScenarioSpec spec = loaded_spec();
+  spec.arrival = fluid::parse_arrival("diurnal,0.6,400,25");
+  spec.bandwidth_classes = fluid::parse_classes("2,0.5,0|1,1.5,12.5");
+  spec.epidemic_replications = 16;
+  const std::string wire = encode_spec(spec);
+  EXPECT_EQ(decode_spec(wire).fingerprint(), spec.fingerprint());
+  const auto padded = [&wire](const std::string& field,
+                              const std::string& with) {
+    std::string out = wire;
+    const std::size_t at = out.find(field);
+    EXPECT_NE(at, std::string::npos) << field;
+    return at == std::string::npos ? out
+                                   : out.replace(at, field.size(), with);
+  };
+  // The number parsers trim, so each of these decoded to `spec` before.
+  EXPECT_THROW(decode_spec(padded(";p=0.35;", ";p=0.35 ;")), ConfigError);
+  EXPECT_THROW(decode_spec(padded("k=7;", "k= 7;")), ConfigError);
+  EXPECT_THROW(decode_spec(padded(";ereps=16", ";ereps=\t16")), ConfigError);
+  EXPECT_THROW(decode_spec(padded("diurnal,0.6,", "diurnal, 0.6,")),
+               ConfigError);
+  EXPECT_THROW(decode_spec(padded("tracker(500,", "tracker( 500,")),
+               ConfigError);
+  EXPECT_THROW(decode_spec(wire + "\n"), ConfigError);
+}
+
 TEST(ModelWireTest, HomogeneousSpecsOmitDemandKeysFromTheWire) {
   // Pre-demand-model fingerprints must stay byte-identical, so the
   // homogeneous defaults never appear on the wire.
