@@ -63,6 +63,7 @@ int bench_main(int argc, char** argv) {
   fluid::TransientOptions options;
   options.t_end = parser.get_double("t-end");
   options.samples = 400;
+  options.breakpoints = burst.breakpoints(0.0, options.t_end);
 
   for (const double rho : {0.0, 0.5, 1.0}) {
     const fluid::CmfsdModel model(fluid::kPaperParams, rates, rho);

@@ -5,9 +5,9 @@ namespace btmf {
 
 inline constexpr int kVersionMajor = 1;
 inline constexpr int kVersionMinor = 0;
-inline constexpr int kVersionPatch = 4;
+inline constexpr int kVersionPatch = 5;
 
 /// "major.minor.patch"
-inline constexpr const char* kVersionString = "1.0.4";
+inline constexpr const char* kVersionString = "1.0.5";
 
 }  // namespace btmf

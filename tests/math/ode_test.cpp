@@ -208,5 +208,22 @@ TEST(Dopri5Test, AcceptedStepWithoutClampingCostsSixRhsCalls) {
   EXPECT_EQ(clipped.y[0], 0.0);
 }
 
+TEST(Dopri5Test, ALandingStepKeepsTheProposalItWasShortenedFrom) {
+  // Over [0, 1] from a step of 0.9, loose tolerances accept every step
+  // and grow it fivefold, up to the span: the first step proposes 1, so
+  // the landing step is shortened from 1 to 0.1. Its own proposal would
+  // be 0.5; the call continuing from t1 starts from the 1 it was
+  // shortened from.
+  AdaptiveOptions loose;
+  loose.rtol = 1.0;
+  loose.atol = 1.0;
+  loose.initial_dt = 0.9;
+  const AdaptiveResult landing = integrate_dopri5(kDecay, {1.0}, 0.0, 1.0,
+                                                  loose);
+  EXPECT_EQ(landing.accepted_steps, 2u);
+  EXPECT_EQ(landing.t, 1.0);
+  EXPECT_EQ(landing.next_dt, 1.0);
+}
+
 }  // namespace
 }  // namespace btmf::math
