@@ -8,12 +8,17 @@
 // the whole trajectory; the comparison is relative at 1e-9, the level
 // at which the integrator choice may move them (a trajectory's samples
 // are held to rtol 1e-9 either way). Every sample of the attached
-// trajectory is also checked against dopri5 alone at rtol 1e-12.
+// trajectory is also checked against dopri5 alone at rtol 1e-12, and
+// every output of each spec is pinned bit for bit by one FNV-1a checksum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -418,6 +423,79 @@ TEST(FluidTransientGoldenTest, EverySampleMatchesATightDopri5Reference) {
       }
     }
     EXPECT_LE(worst, kSampleTol) << golden.name;
+  }
+}
+
+/// FNV-1a over the sizes and bit patterns of the headline, every
+/// per-class online and download time and every trajectory sample.
+std::uint64_t outcome_checksum(const Outcome& outcome) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto series = [&mix](const std::vector<double>& values) {
+    mix(values.size());
+    for (const double v : values) mix(std::bit_cast<std::uint64_t>(v));
+  };
+  mix(std::bit_cast<std::uint64_t>(outcome.avg_online_per_file));
+  series(outcome.per_class.online_time);
+  series(outcome.per_class.download_time);
+  series(outcome.trajectory->downloaders);
+  series(outcome.trajectory->seeds);
+  return h;
+}
+
+struct PinnedBits {
+  const char* name;
+  std::uint64_t checksum;
+};
+
+// clang-format off
+const PinnedBits kPinnedBits[] = {
+    {"MTCD/p0.15", 0xa3b6da0392aea368ULL},
+    {"MTSD/p0.15", 0x71bc7c0a8aa37188ULL},
+    {"MFCD/p0.15", 0xa3b6da0392aea368ULL},
+    {"CMFSD/p0.15/rho0.05", 0xcf14ff591c1581e8ULL},
+    {"CMFSD/p0.15/rho0.5", 0xebc78ac42524d5f0ULL},
+    {"CMFSD/p0.15/rho1", 0x981e2f1036d2cb25ULL},
+    {"MTCD/p0.5", 0x64128aabe9901dbbULL},
+    {"MTSD/p0.5", 0xc3a44f224ee130f2ULL},
+    {"MFCD/p0.5", 0x64128aabe9901dbbULL},
+    {"CMFSD/p0.5/rho0.05", 0x1305b5268bbd9590ULL},
+    {"CMFSD/p0.5/rho0.5", 0x22e16bc757dfdc7bULL},
+    {"CMFSD/p0.5/rho1", 0xe2c20f191053a236ULL},
+    {"MTCD/p0.95", 0x7cd5bb7f51f2ca8dULL},
+    {"MTSD/p0.95", 0xfe524cf43f104804ULL},
+    {"MFCD/p0.95", 0x7cd5bb7f51f2ca8dULL},
+    {"CMFSD/p0.95/rho0.05", 0x9b4788dc5132acfeULL},
+    {"CMFSD/p0.95/rho0.5", 0xaa413f1dc9f70ff2ULL},
+    {"CMFSD/p0.95/rho1", 0xc1b61fd5369e8b60ULL},
+    {"MTCD/p0.5/diurnal", 0x27b77115a8ad553cULL},
+    {"CMFSD/p0.5/rho0.3/flash", 0x57307621d1ae2b60ULL},
+    {"MTCD/K1", 0xa5fc63e575b5bb85ULL},
+    {"CMFSD/K1", 0x69c3f2f57952decfULL},
+};
+// clang-format on
+
+TEST(FluidTransientGoldenTest, EveryOutputKeepsItsBits) {
+  // A change to the integrators' arithmetic that keeps every number
+  // within the tolerances above still fails here, unless it keeps the
+  // bits: the headline, both per-class columns and every sample.
+  const std::vector<GoldenCase> cases = golden_cases();
+  ASSERT_EQ(cases.size(), std::size(kPinnedBits));
+  const Backend& backend = require_backend("fluid-transient");
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    ASSERT_EQ(cases[c].name, kPinnedBits[c].name);
+    const Outcome outcome = backend.evaluate_or_throw(cases[c].spec);
+    ASSERT_TRUE(outcome.trajectory.has_value()) << cases[c].name;
+    const std::uint64_t got = outcome_checksum(outcome);
+    std::ostringstream hex;
+    hex << "0x" << std::hex << got << "ULL";
+    EXPECT_EQ(got, kPinnedBits[c].checksum)
+        << cases[c].name << ": " << hex.str();
   }
 }
 
