@@ -68,17 +68,10 @@ inline bool all_finite(std::span<const double> x) {
 }
 
 /// Componentwise max(x, 0) — used to clamp populations that dip a hair
-/// below zero from integrator truncation error. Returns whether any
-/// component changed.
-inline bool clamp_nonnegative(std::span<double> x) {
-  bool changed = false;
-  for (double& v : x) {
-    if (v < 0.0) {
-      v = 0.0;
-      changed = true;
-    }
-  }
-  return changed;
+/// below zero from integrator truncation error. A NaN or -0 stays as it
+/// is. Without a branch or a flag, the loop vectorises.
+inline void clamp_nonnegative(std::span<double> x) {
+  for (double& v : x) v = v < 0.0 ? 0.0 : v;
 }
 
 }  // namespace btmf::math

@@ -1,10 +1,12 @@
 #include "btmf/math/ode.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "btmf/math/vec.h"
 #include "btmf/util/check.h"
@@ -46,6 +48,47 @@ constexpr double kD[7] = {-12715105075.0 / 11282082432.0,
                           -1453857185.0 / 822651844.0,
                           69997945.0 / 29380423.0};
 
+constexpr std::size_t kStages = 7;
+
+/// Stage S's argument y + sum_{j < S} (h a_Sj) k_j, where row j of `k`
+/// is k_j. Each component adds its S terms to y in j order.
+template <std::size_t S>
+void stage_argument(double h, std::size_t n, const double* __restrict y,
+                    const double* __restrict k, double* __restrict arg) {
+  double a[S];
+  for (std::size_t j = 0; j < S; ++j) a[j] = h * kA[S][j];
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = y[i];
+    for (std::size_t j = 0; j < S; ++j) v += a[j] * k[j * n + i];
+    arg[i] = v;
+  }
+}
+
+/// stage_argument<S> for S = 1, ..., 6 at index S - 1.
+constexpr auto kStageArgument =
+    []<std::size_t... S>(std::index_sequence<S...>) {
+      return std::array{&stage_argument<S + 1>...};
+    }(std::make_index_sequence<kStages - 1>{});
+
+/// The 5th-order state y5 = y + h sum_s b5_s k_s and each component's
+/// term of the error's weighted RMS norm (wrms_norm),
+/// h sum_s (b5_s - b4_s) k_s / (atol + rtol |y|). Each component adds its
+/// seven terms of both sums in stage order from 0, zero weights included.
+void fifth_order(double h, double atol, double rtol, std::size_t n,
+                 const double* __restrict y, const double* __restrict k,
+                 double* __restrict y5, double* __restrict err) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc5 = 0.0;
+    double acc4 = 0.0;
+    for (std::size_t s = 0; s < kStages; ++s) {
+      acc5 += kB5[s] * k[s * n + i];
+      acc4 += kB4[s] * k[s * n + i];
+    }
+    y5[i] = y[i] + h * acc5;
+    err[i] = h * (acc5 - acc4) / (atol + rtol * std::abs(y[i]));
+  }
+}
+
 }  // namespace
 
 Dopri5Stepper::Dopri5Stepper(const OdeRhs& rhs, const AdaptiveOptions& options)
@@ -58,9 +101,8 @@ void Dopri5Stepper::start(double t, std::span<const double> y, double dt,
                           double max_dt) {
   if (y.size() != n_) {
     n_ = y.size();
-    k_.assign(7 * n_, 0.0);
-    for (std::vector<double>* v :
-         {&y_, &y5_, &y_stage_, &acc5_, &acc4_, &err_, &y_last_}) {
+    k_.assign(kStages * n_, 0.0);
+    for (std::vector<double>* v : {&y_, &y5_, &y_stage_, &y_last_, &err_}) {
       v->assign(n_, 0.0);
     }
   }
@@ -87,9 +129,15 @@ void Dopri5Stepper::step(double t1, double min_dt) {
   }
   stage0_ = Stage0::kReady;
 
-  // Every loop below runs stage-outer over contiguous rows and adds the
-  // terms of each component in the same order as the textbook
-  // component-outer form, so the arithmetic is the same bit for bit.
+  // Every loop below runs component-outer: one pass over the components
+  // for each stage argument, one for the 5th-order state and the scaled
+  // error, and one for the sums over the components. Each component adds
+  // its terms in stage order from the textbook form's start (y, or 0 for
+  // the weighted sums), zero weights included, and each sum over the
+  // components adds its terms in index order, so every result is the
+  // textbook form's bit for bit. The first two kinds of pass write each
+  // component on its own from restrict-qualified rows, which the
+  // compiler vectorises; the sums stay in order, and so serial.
   for (;;) {
     if (dt_ < min_dt) {
       throw SolverError("dopri5: step size underflow at t = " +
@@ -101,54 +149,48 @@ void Dopri5Stepper::step(double t1, double min_dt) {
     const bool last = t1 - t_ - h < min_dt;
     if (last) h = t1 - t_;
 
-    for (std::size_t s = 1; s < 7; ++s) {
+    const double* const y = y_.data();
+    const double* const k = k_.data();
+    for (std::size_t s = 1; s < kStages; ++s) {
       std::vector<double>& arg = s == 6 ? y_last_ : y_stage_;
-      std::copy(y_.begin(), y_.end(), arg.begin());
-      for (std::size_t j = 0; j < s; ++j) {
-        const double a = h * kA[s][j];
-        const double* kj = k_.data() + j * n;
-        for (std::size_t i = 0; i < n; ++i) arg[i] += a * kj[i];
-      }
+      kStageArgument[s - 1](h, n, y, k, arg.data());
       rhs_(t_ + kC[s] * h, arg, stage(s));
     }
 
-    std::fill(acc5_.begin(), acc5_.end(), 0.0);
-    std::fill(acc4_.begin(), acc4_.end(), 0.0);
-    for (std::size_t s = 0; s < 7; ++s) {
-      const double* ks = k_.data() + s * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc5_[i] += kB5[s] * ks[i];
-        acc4_[i] += kB4[s] * ks[i];
-      }
-    }
+    fifth_order(h, options_.atol, options_.rtol, n, y, k, y5_.data(),
+                err_.data());
+    // The error norm, and the stiffness test's sums: stages 5 and 6 both
+    // sit at t + h, so |k6 - k5| / |y6 - y5| estimates rho(J) along the
+    // error's direction. A state that is not finite fails the step
+    // whatever the norm reads.
+    bool finite = true;
+    bool negative = false;
+    double err_sum = 0.0;
+    double dk = 0.0;
+    double dy = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      y5_[i] = y_[i] + h * acc5_[i];
-      err_[i] = h * (acc5_[i] - acc4_[i]);
+      finite &= std::isfinite(y5_[i]);
+      negative |= y5_[i] < 0.0;
+      err_sum += err_[i] * err_[i];
+      const double a = k[6 * n + i] - k[5 * n + i];
+      const double b = y_last_[i] - y_stage_[i];
+      dk += a * a;
+      dy += b * b;
     }
-
     const double err_norm =
-        all_finite(y5_) ? wrms_norm(err_, y_, options_.atol, options_.rtol)
-                        : std::numeric_limits<double>::infinity();
+        !finite ? std::numeric_limits<double>::infinity()
+        : n == 0 ? 0.0
+                 : std::sqrt(err_sum / static_cast<double>(n));
 
     const bool accepted = err_norm <= 1.0;
     if (accepted) {
-      // Stiffness test: stages 5 and 6 both sit at t + h, so
-      // |k6 - k5| / |y6 - y5| estimates rho(J) along the error's direction.
-      double dk = 0.0;
-      double dy = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double a = k_[6 * n + i] - k_[5 * n + i];
-        const double b = y_last_[i] - y_stage_[i];
-        dk += a * a;
-        dy += b * b;
-      }
       stiff_ = dy > 0.0 && h * h * dk > kStiffBound * kStiffBound * dy;
       t_prev_ = t_;
       h_ = h;
       t_ = last ? t1 : t_ + h;
       y_.swap(y5_);
-      const bool clamped =
-          options_.clamp_nonnegative && clamp_nonnegative(y_);
+      const bool clamped = options_.clamp_nonnegative && negative;
+      if (clamped) clamp_nonnegative(y_);
       ++accepted_;
       // k_6, evaluated at (t + h, y5), is the next step's k_0 — unless
       // the clip moved the state off y5.
@@ -186,17 +228,21 @@ void Dopri5Stepper::dense(double t, std::span<double> out) const {
   // theta1 d))) with dy = y1 - y0, b = h k_0 - dy, c = dy - h k_6 - b and
   // d = h sum_s d_s k_s: the cubic Hermite through both ends and their
   // slopes plus the order-4 correction d (CONTD5).
-  const double theta = (t - t_prev_) / h_;
+  const double h = h_;
+  const std::size_t n = n_;
+  const double theta = (t - t_prev_) / h;
   const double theta1 = 1.0 - theta;
-  const double* k = k_.data();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double y0 = y5_[i];
-    const double dy = y_[i] - y0;
-    const double b = h_ * k[i] - dy;
-    const double c = dy - h_ * k[6 * n_ + i] - b;
+  const double* __restrict const y0 = y5_.data();
+  const double* __restrict const y1 = y_.data();
+  const double* __restrict const k = k_.data();
+  double* __restrict const y = out.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dy = y1[i] - y0[i];
+    const double b = h * k[i] - dy;
+    const double c = dy - h * k[6 * n + i] - b;
     double d = 0.0;
-    for (std::size_t s = 0; s < 7; ++s) d += kD[s] * k[s * n_ + i];
-    out[i] = y0 + theta * (dy + theta1 * (b + theta * (c + theta1 * h_ * d)));
+    for (std::size_t s = 0; s < kStages; ++s) d += kD[s] * k[s * n + i];
+    y[i] = y0[i] + theta * (dy + theta1 * (b + theta * (c + theta1 * h * d)));
   }
 }
 
