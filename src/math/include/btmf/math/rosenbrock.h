@@ -10,9 +10,12 @@
 // order-2 estimate, four stages, stiffly accurate, R(inf) = 0. The
 // integrator never forms J. The caller supplies a StageSolver that solves
 // the stage systems, so a structured Jacobian costs O(n) per step instead
-// of a dense O(n^3) factorisation. Like dopri5, the method is also a
-// stepper (RosenbrockStepper) with a continuous extension over its last
-// step, so a caller reads a trajectory between steps without ending one.
+// of a dense O(n^3) factorisation. The method is a stepper
+// (RosenbrockStepper) that takes one accepted step at a time, like
+// Dopri5Stepper, with a continuous extension over its last step, so a
+// caller reads a trajectory between steps without ending one;
+// fluid::sample_trajectory drives it for the stiff tail of every fluid
+// transient.
 #pragma once
 
 #include <cstddef>
@@ -147,25 +150,5 @@ class RosenbrockStepper {
   std::vector<double> y1_;
   std::vector<double> f0_, f_prev_, dfdt_, y_stage_, err_;
 };
-
-/// Integrates system from t0 to t1 with RODAS3, solving the stage systems
-/// with `stages` (made by system.stages(); one solver serves consecutive
-/// integrations of the system), under the same contract as
-/// integrate_dopri5: rtol, atol, initial_dt, max_dt, max_steps and
-/// clamp_nonnegative mean the same, the final step lands exactly on t1,
-/// next_dt after a shortened landing step is the proposal it was
-/// shortened from, and the trace records one "ode.integrate" span with
-/// the accepted and rejected counts. One difference: with max_dt = 0 no
-/// proposal is capped by t1 - t0. With stop_below > 0 the integration
-/// also stops, at its last accepted step (result.t < t1), once the
-/// controller proposes a step shorter than stop_below. Throws
-/// btmf::SolverError on step-size underflow, an exhausted step budget or
-/// a singular stage system.
-AdaptiveResult integrate_rosenbrock(const OdeSystem& system,
-                                    StageSolver& stages,
-                                    std::vector<double> y0, double t0,
-                                    double t1,
-                                    const AdaptiveOptions& options = {},
-                                    double stop_below = 0.0);
 
 }  // namespace btmf::math
