@@ -75,8 +75,15 @@ struct ScenarioSpec {
 
   // --- fluid backends ----------------------------------------------------
   SolverSettings solver{};
-  /// Uniform sample count of the fluid-transient trajectory (incl. t = 0).
+  /// Uniform sample count of the fluid-transient trajectory (incl. t = 0),
+  /// from 2 to kMaxTransientSamples.
   std::size_t transient_samples = 200;
+  /// The most samples a trajectory may hold. Every sample is one state
+  /// vector, allocated before the first step, so the count sizes memory
+  /// up front: 10^7 samples of K = 20 CMFSD (230 states) would ask for
+  /// about 18 GB. The bound is 50 times the default and 5 times the
+  /// largest count any caller uses.
+  static constexpr std::size_t kMaxTransientSamples = 10'000;
 
   // --- stochastic backends (kernel-sim, chunk-sim) -----------------------
   double horizon = 6000.0;            ///< simulated end time / ODE t_end

@@ -27,6 +27,9 @@ void ScenarioSpec::validate() const {
   }
   BTMF_CHECK_MSG(transient_samples >= 2,
                  "transient_samples must be >= 2 (endpoints)");
+  BTMF_CHECK_MSG(transient_samples <= kMaxTransientSamples,
+                 "transient_samples must be <= " +
+                     std::to_string(kMaxTransientSamples));
   BTMF_CHECK_MSG(horizon > 0.0, "horizon must be positive");
   BTMF_CHECK_MSG(warmup >= 0.0 && warmup < horizon,
                  "warmup must lie in [0, horizon)");

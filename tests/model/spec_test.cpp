@@ -179,6 +179,18 @@ TEST(ModelSpecTest, ValidateRejectsOutOfRangeFields) {
   EXPECT_NO_THROW(ScenarioSpec{}.validate());
 }
 
+TEST(ModelSpecTest, RefusesTransientSampleCountsAboveTheBound) {
+  // Each sample is a state vector allocated before the first step: at
+  // K = 20 CMFSD, 10^7 samples would ask for about 18 GB.
+  ScenarioSpec s;
+  s.transient_samples = 10'000'000;
+  EXPECT_THROW(s.validate(), ConfigError);
+  s.transient_samples = ScenarioSpec::kMaxTransientSamples + 1;
+  EXPECT_THROW(s.validate(), ConfigError);
+  s.transient_samples = ScenarioSpec::kMaxTransientSamples;
+  EXPECT_NO_THROW(s.validate());
+}
+
 TEST(ModelSpecTest, SimConfigFromSpecMapsEveryRunKnob) {
   ScenarioSpec spec;
   spec.num_files = 4;

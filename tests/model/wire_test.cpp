@@ -232,6 +232,20 @@ TEST(ModelWireTest, RejectsChunkCountsAboveUintMax) {
                ConfigError);
 }
 
+TEST(ModelWireTest, RejectsTransientSampleCountsAboveTheBound) {
+  // The default K = 20 CMFSD spec at 10^7 samples would have the
+  // fluid-transient backend allocate about 18 GB before its first step.
+  ScenarioSpec spec;
+  spec.num_files = 20;
+  const std::string wire = encode_spec(spec);
+  EXPECT_THROW(decode_spec(with_value(wire, "samples", "10000000")),
+               ConfigError);
+  const std::string bound =
+      std::to_string(ScenarioSpec::kMaxTransientSamples);
+  EXPECT_EQ(decode_spec(with_value(wire, "samples", bound)).transient_samples,
+            ScenarioSpec::kMaxTransientSamples);
+}
+
 TEST(ModelWireTest, RejectsEpidemicReplicationsAboveUintMax) {
   const std::string wire = encode_spec(ScenarioSpec{});
   EXPECT_THROW(decode_spec(wire + ";ereps=4294967297"), ConfigError);
