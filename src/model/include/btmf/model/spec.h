@@ -47,7 +47,12 @@ struct SolverSettings {
 
 struct ScenarioSpec {
   // --- scenario: the paper's Sec. 4 inputs -------------------------------
-  unsigned num_files = 10;            ///< K
+  unsigned num_files = 10;            ///< K, from 1 to kMaxFiles
+  /// The most files a scenario may hold. The fluid backends size their
+  /// state from K before the first step (CMFSD holds K(K+3)/2 states),
+  /// so K = 100000 would ask for tens of GB. The bound is about twice
+  /// the largest K any caller uses (33).
+  static constexpr unsigned kMaxFiles = 64;
   double correlation = 0.5;           ///< p
   double visit_rate = 1.0;            ///< lambda0
   fluid::FluidParams fluid{};         ///< mu, eta, gamma

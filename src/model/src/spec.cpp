@@ -7,6 +7,8 @@ namespace btmf::model {
 
 void ScenarioSpec::validate() const {
   BTMF_CHECK_MSG(num_files >= 1, "num_files must be >= 1");
+  BTMF_CHECK_MSG(num_files <= kMaxFiles,
+                 "num_files must be <= " + std::to_string(kMaxFiles));
   BTMF_CHECK_MSG(correlation >= 0.0 && correlation <= 1.0,
                  "correlation p must lie in [0, 1]");
   BTMF_CHECK_MSG(visit_rate > 0.0, "visit_rate lambda0 must be positive");

@@ -191,6 +191,18 @@ TEST(ModelSpecTest, RefusesTransientSampleCountsAboveTheBound) {
   EXPECT_NO_THROW(s.validate());
 }
 
+TEST(ModelSpecTest, RefusesFileCountsAboveTheBound) {
+  // The fluid backends size their state from K before the first step:
+  // K = 100000 CMFSD would hold about 5 * 10^9 states.
+  ScenarioSpec s;
+  s.num_files = 100'000;
+  EXPECT_THROW(s.validate(), ConfigError);
+  s.num_files = ScenarioSpec::kMaxFiles + 1;
+  EXPECT_THROW(s.validate(), ConfigError);
+  s.num_files = ScenarioSpec::kMaxFiles;
+  EXPECT_NO_THROW(s.validate());
+}
+
 TEST(ModelSpecTest, SimConfigFromSpecMapsEveryRunKnob) {
   ScenarioSpec spec;
   spec.num_files = 4;

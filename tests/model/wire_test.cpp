@@ -246,6 +246,16 @@ TEST(ModelWireTest, RejectsTransientSampleCountsAboveTheBound) {
             ScenarioSpec::kMaxTransientSamples);
 }
 
+TEST(ModelWireTest, RejectsFileCountsAboveTheBound) {
+  // k=100000 used to decode, and fluid-transient's state allocation then
+  // let std::bad_alloc escape Backend::evaluate under a memory limit.
+  const std::string wire = encode_spec(ScenarioSpec{});
+  EXPECT_THROW(decode_spec(with_value(wire, "k", "100000")), ConfigError);
+  const std::string bound = std::to_string(ScenarioSpec::kMaxFiles);
+  EXPECT_EQ(decode_spec(with_value(wire, "k", bound)).num_files,
+            ScenarioSpec::kMaxFiles);
+}
+
 TEST(ModelWireTest, RejectsEpidemicReplicationsAboveUintMax) {
   const std::string wire = encode_spec(ScenarioSpec{});
   EXPECT_THROW(decode_spec(wire + ";ereps=4294967297"), ConfigError);
