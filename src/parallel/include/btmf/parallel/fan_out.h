@@ -1,6 +1,7 @@
 // Index fan-out onto idle cores: the one way the library puts work on
-// cores. Sweep points, simulator replications, sharded-kernel epochs and
-// stochastic-epidemic replications all run through it.
+// cores. Sweep points, simulator replications, the shards of a sharded
+// kernel run (one call per run) and stochastic-epidemic replications
+// all run through it.
 //
 // fan_out runs a body over [0, n) on worker threads it starts for the
 // call; the calling thread lends its core to worker 0 and waits until

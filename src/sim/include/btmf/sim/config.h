@@ -117,14 +117,15 @@ struct SimConfig {
 
   /// Torrent shards for the decomposed schemes (MTCD): the kernel state is
   /// partitioned per torrent into min(shards, num_files) independent
-  /// shards synchronized at rate-epoch barriers. Results are bit-identical
-  /// for ANY shards x kernel_threads configuration (see docs/SCALE.md);
-  /// schemes whose dynamics do not decompose ignore the knob and run the
-  /// serial kernel. A non-empty FaultPlan also forces one shard.
+  /// shards that pause at the same rate-epoch ends. Results are
+  /// bit-identical for ANY shards x kernel_threads configuration (see
+  /// docs/SCALE.md); schemes whose dynamics do not decompose ignore the
+  /// knob and run the serial kernel. A non-empty FaultPlan also forces
+  /// one shard.
   unsigned shards = 1;
-  /// Cap on the worker threads driving the shards (0 = no cap). Each
-  /// epoch fans the shards out over at most one worker per idle core
-  /// (parallel::fan_out); 1, the default, steps them one after another.
+  /// Cap on the worker threads driving the shards (0 = no cap). A run
+  /// fans the shards out once, over at most one worker per idle core
+  /// (parallel::fan_out); 1, the default, runs them one after another.
   unsigned kernel_threads = 1;
 
   /// Declarative fault schedule (tracker outages, seed failure, churn
@@ -141,9 +142,9 @@ struct SimConfig {
 
   /// Runs the paranoid invariant auditor after every dispatched event
   /// round (service-group integrals, indexed-heap cross-references, live
-  /// list, policy pool recounts) and, in a sharded run, the clock check at
-  /// every epoch barrier; throws btmf::AuditError at the event that
-  /// corrupted state. Expensive — meant for tests and debugging.
+  /// list, policy pool recounts) and, in a sharded run, every shard's
+  /// clock check at each epoch end; throws btmf::AuditError at the event
+  /// that corrupted state. Expensive — meant for tests and debugging.
   /// Compiling with -DBTMF_PARANOID forces this on (auditor_enabled).
   bool paranoid = false;
 
@@ -158,8 +159,8 @@ struct SimConfig {
 
 /// Whether a simulator runs its invariant auditor: `requested` (the
 /// config's `paranoid` field), or always in a library compiled with
-/// -DBTMF_PARANOID. The event kernel, the sharded kernel's epoch-barrier
-/// audit and chunk-sim's slot auditor all decide here.
+/// -DBTMF_PARANOID. The event kernel, the sharded kernel's epoch-end
+/// clock audit and chunk-sim's slot auditor all decide here.
 [[nodiscard]] bool auditor_enabled(bool requested);
 
 }  // namespace btmf::sim

@@ -154,7 +154,8 @@ struct ShardOutput {
   std::size_t rate_epochs = 0;
 
   // Population sample grid (identical across shards) and the series
-  // recorded on it; per-class series merge by elementwise sum.
+  // recorded on it, one row each; per-class series merge by elementwise
+  // sum.
   std::vector<double> sample_time;
   std::vector<std::vector<double>> down_series;  ///< per class
   std::vector<std::vector<double>> seed_series;  ///< per class
@@ -273,13 +274,13 @@ class EventKernel {
   /// Arms the arrival process; call once before the first run_until.
   void start();
   /// Advances the event loop to min(t_end, horizon) and pauses exactly at
-  /// t_end (the epoch barrier). run() is start() + run_until(horizon).
+  /// t_end (an epoch end). run() is start() + run_until(horizon).
   void run_until(double t_end);
   /// Collects the decomposed shard's raw output (closures, population
   /// integrals, sample series, counters) after run_until(horizon).
   [[nodiscard]] ShardOutput shard_finish();
-  /// Simulation clock after the last run_until — equals the epoch
-  /// boundary at a barrier (checked by the sharded paranoid auditor).
+  /// Simulation clock after the last run_until — equals the epoch end it
+  /// paused at (checked by the sharded paranoid auditor).
   [[nodiscard]] double current_time() const { return cur_t_; }
 
   // ---- services for policies --------------------------------------------
@@ -670,14 +671,19 @@ class EventKernel {
   std::vector<std::int64_t> down_cnt_;  ///< instantaneous, per class
   std::vector<std::int64_t> seed_cnt_;
   std::vector<std::size_t> arrivals_cls_;  ///< sampled admissions per class
-  std::vector<ShardClosure> closures_;
   std::size_t prim_events_ = 0;
+  /// The shard's output under construction: closures and population
+  /// samples accumulate here during the run (the sample rows reserved up
+  /// front), and shard_finish completes it and moves it out.
+  ShardOutput shard_out_;
 
   // ---- telemetry state --------------------------------------------------
   obs::ObsSink obs_;            ///< cfg.obs copy; null pointers = inert
   /// Internal per-run recorder backing the SimResult population
-  /// trajectories — always on (deterministic, a few hundred samples);
-  /// exported into obs_.recorder at the end of the run when one is set.
+  /// trajectories of a serial kernel — always on (deterministic, a few
+  /// hundred samples); exported into obs_.recorder at the end of the run
+  /// when one is set. A decomposed kernel samples into shard_out_ instead
+  /// and leaves this null.
   std::unique_ptr<obs::TimeSeriesRecorder> sampler_;
   std::vector<obs::SeriesId> down_series_;   ///< per class
   std::vector<obs::SeriesId> seed_series_;   ///< per class

@@ -14,14 +14,16 @@
 // across every shards x kernel_threads configuration. See docs/SCALE.md
 // for the contract and its proof obligations.
 //
-// Shards advance in lockstep through kEpochs rate-epoch barriers
-// (run_until on each horizon/kEpochs boundary). Each epoch is one
-// parallel::fan_out over the shards, capped at kernel_threads (0 = no
-// cap), so the shards run on at most one worker per idle core and a
-// sharded run inside a busy sweep runs them serially. The barriers exist
-// for observability (epoch-wise progress, barrier-wait accounting) and
-// to bound the skew between shards; correctness never depends on them
-// because the shards share no mutable state.
+// A run is one parallel::fan_out over the shards, capped at
+// kernel_threads (0 = no cap), so the shards run on at most one worker
+// per idle core and a sharded run inside a busy sweep runs them
+// serially. Each index steps its shard through kEpochs pause points
+// (run_until on each horizon/kEpochs boundary), audits the shard's clock
+// there when the auditor is on, and traces each epoch's end. Shards
+// share no mutable state, so none waits for another: the pause points
+// exist for observability (epoch-wise progress, the paranoid clock
+// check) and correctness never depends on them. The barrier-wait gauge
+// is S x slowest shard - sum of shard times over the run.
 //
 // Non-shardable policies and runs with an active FaultPlan fall back to
 // a single kernel: the fault layer's churn/outage machinery is global by
@@ -42,9 +44,9 @@ using PolicyFactory = std::function<std::unique_ptr<SchemePolicy>()>;
 
 class ShardedKernel {
  public:
-  /// Rate-epoch barriers per run; horizon * e / kEpochs are the pause
-  /// points. Fixed so the barrier schedule never depends on runtime
-  /// conditions (a determinism requirement for the paranoid clock audit).
+  /// Rate epochs per run; horizon * e / kEpochs are every shard's pause
+  /// points. Fixed so the schedule never depends on runtime conditions
+  /// (a determinism requirement for the paranoid clock audit).
   static constexpr unsigned kEpochs = 16;
 
   ShardedKernel(const SimConfig& config, PolicyFactory factory);

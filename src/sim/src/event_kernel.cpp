@@ -23,6 +23,12 @@ const std::greater<> kMinHeap{};
 /// at least half the lane, so pops stay O(1) amortised.
 constexpr std::size_t kLaneCompactAt = 1024;
 
+/// Most samples per row a decomposed kernel reserves before its first
+/// event: twice the default grid (horizon / 4096), so a tiny
+/// obs.sample_dt grows its rows as samples arrive instead of allocating
+/// the whole grid up front.
+constexpr std::size_t kSampleReserveCap = 8192;
+
 template <class Head>
 void sift_heads_up(std::vector<Head>& h, std::size_t i) {
   while (i > 0) {
@@ -75,7 +81,7 @@ EventKernel::EventKernel(const SimConfig& config, SchemePolicy& policy,
     arrivals_cls_.assign(k, 0);
   }
 
-  // Telemetry: the internal population sampler is always on (it backs the
+  // Telemetry: the population sampling is always on (it backs the
   // SimResult trajectories and draws no randomness); the external sinks
   // stay null unless the caller attached them. Decomposed runs sample on
   // a finer default grid: the merged peak-peer gauge is read off it.
@@ -83,16 +89,37 @@ EventKernel::EventKernel(const SimConfig& config, SchemePolicy& policy,
   sample_dt_ = obs_.sample_dt > 0.0
                    ? obs_.sample_dt
                    : cfg_.horizon / (shard_.decomposed ? 4096.0 : 512.0);
-  sampler_ = std::make_unique<obs::TimeSeriesRecorder>(0);  // exact cadence
-  for (unsigned k = 0; k < cfg_.num_files; ++k) {
-    const std::string cls = ".c" + std::to_string(k + 1);
-    down_series_.push_back(sampler_->series("sim.downloaders" + cls));
-    seed_series_.push_back(sampler_->series("sim.seeds" + cls));
+  if (shard_.decomposed) {
+    // One time axis and one row per series; the driver rebuilds the
+    // arrival-rate series from the demand spec, so no shard samples it.
+    const double grid = std::floor(cfg_.horizon / sample_dt_) + 2.0;
+    const std::size_t reserve =
+        grid < static_cast<double>(kSampleReserveCap)
+            ? static_cast<std::size_t>(grid)
+            : kSampleReserveCap;
+    ShardOutput& o = shard_out_;
+    o.sample_time.reserve(reserve);
+    o.down_series.resize(cfg_.num_files);
+    o.seed_series.resize(cfg_.num_files);
+    for (unsigned k = 0; k < cfg_.num_files; ++k) {
+      o.down_series[k].reserve(reserve);
+      o.seed_series[k].reserve(reserve);
+    }
+    o.live_series.reserve(reserve);
+    o.queue_series.reserve(reserve);
+    o.recovering_series.reserve(reserve);
+  } else {
+    sampler_ = std::make_unique<obs::TimeSeriesRecorder>(0);  // exact cadence
+    for (unsigned k = 0; k < cfg_.num_files; ++k) {
+      const std::string cls = ".c" + std::to_string(k + 1);
+      down_series_.push_back(sampler_->series("sim.downloaders" + cls));
+      seed_series_.push_back(sampler_->series("sim.seeds" + cls));
+    }
+    live_series_ = sampler_->series("sim.live_peers");
+    queue_series_ = sampler_->series("sim.readmission_queue");
+    recovering_series_ = sampler_->series("sim.recovering");
+    arrival_series_ = sampler_->series("kernel.arrival_rate");
   }
-  live_series_ = sampler_->series("sim.live_peers");
-  queue_series_ = sampler_->series("sim.readmission_queue");
-  recovering_series_ = sampler_->series("sim.recovering");
-  arrival_series_ = sampler_->series("kernel.arrival_rate");
   arrival_peak_ = cfg_.arrival.peak_rate(cfg_.visit_rate);
   if (obs_.metrics != nullptr) {
     hist_online_ = obs_.metrics->histogram("sim.user_online_per_file");
@@ -353,7 +380,7 @@ void EventKernel::retire_user(std::size_t ui, double t, double download,
   remove_live(ui);
   if (shard_.decomposed) {
     if (pool_.sampled(ui)) {
-      closures_.push_back(
+      shard_out_.closures.push_back(
           {pool_.seq(ui), pool_.cls(ui),
            static_cast<std::uint8_t>(pool_.aborted(ui) ? 1 : 0), 0,
            t - pool_.arrival(ui), download});
@@ -834,23 +861,27 @@ void EventKernel::audit(double t) {
 // ---- telemetry ------------------------------------------------------------
 
 void EventKernel::record_sample(double when) {
+  const double queued =
+      static_cast<double>(tracker_queue_ + readmissions_.size());
   if (shard_.decomposed) {
+    ShardOutput& o = shard_out_;
+    o.sample_time.push_back(when);
     for (unsigned k = 0; k < cfg_.num_files; ++k) {
-      sampler_->append(down_series_[k], when,
-                       static_cast<double>(down_cnt_[k]));
-      sampler_->append(seed_series_[k], when,
-                       static_cast<double>(seed_cnt_[k]));
+      o.down_series[k].push_back(static_cast<double>(down_cnt_[k]));
+      o.seed_series[k].push_back(static_cast<double>(seed_cnt_[k]));
     }
-  } else {
-    for (unsigned k = 0; k < cfg_.num_files; ++k) {
-      sampler_->append(down_series_[k], when, down_pop_[k]);
-      sampler_->append(seed_series_[k], when, seed_pop_[k]);
-    }
+    o.live_series.push_back(static_cast<double>(active_peer_count_));
+    o.queue_series.push_back(queued);
+    o.recovering_series.push_back(recovering_ ? 1.0 : 0.0);
+    return;
+  }
+  for (unsigned k = 0; k < cfg_.num_files; ++k) {
+    sampler_->append(down_series_[k], when, down_pop_[k]);
+    sampler_->append(seed_series_[k], when, seed_pop_[k]);
   }
   sampler_->append(live_series_, when,
                    static_cast<double>(active_peer_count_));
-  sampler_->append(queue_series_, when,
-                   static_cast<double>(tracker_queue_ + readmissions_.size()));
+  sampler_->append(queue_series_, when, queued);
   sampler_->append(recovering_series_, when, recovering_ ? 1.0 : 0.0);
   sampler_->append(arrival_series_, when,
                    cfg_.arrival.rate_at(cfg_.visit_rate, when));
@@ -910,6 +941,8 @@ void EventKernel::export_observations(SimResult& result) {
 // ---- main loop ------------------------------------------------------------
 
 SimResult EventKernel::run() {
+  BTMF_CHECK_MSG(!shard_.decomposed,
+                 "a decomposed kernel finishes through shard_finish");
   util::Stopwatch wall;
   start();
   run_until(cfg_.horizon);
@@ -965,8 +998,8 @@ void EventKernel::run_until(double t_end) {
                   policy_time, fault_time, readmit_time, cfg_.horizon});
 
     if (t_next > t_end && t_end < cfg_.horizon) {
-      // Epoch barrier: nothing fires in (t, t_end], so pause exactly at
-      // the boundary. Populations are constant on [t, t_next); sampling
+      // Epoch end: nothing fires in (t, t_end], so pause exactly at the
+      // boundary. Populations are constant on [t, t_next); sampling
       // the grid points up to t_end now records the same left-limit
       // values an unpaused run would.
       while (next_sample_ <= t_end) {
@@ -1080,22 +1113,22 @@ SimResult EventKernel::finish() {
 ShardOutput EventKernel::shard_finish() {
   const double horizon = cfg_.horizon;
   // Census closures for users still live at the horizon. Order does not
-  // matter: the merge sorts all closures by admission seq before folding.
+  // matter: the merge folds every closure into its admission seq's entry.
   for (const std::size_t ui : live_) {
     if (!pool_.sampled(ui)) continue;
-    closures_.push_back(
+    shard_out_.closures.push_back(
         {pool_.seq(ui), pool_.cls(ui),
          static_cast<std::uint8_t>(pool_.aborted(ui) ? 1 : 0), 1,
          horizon - pool_.arrival(ui), 0.0});
   }
   if (recovering_) ++faults_unrecovered_;
   flush_dispatch_span();
-  if (sampler_->data(live_series_).t.empty() ||
-      sampler_->data(live_series_).t.back() < horizon) {
+  if (shard_out_.sample_time.empty() ||
+      shard_out_.sample_time.back() < horizon) {
     record_sample(horizon);
   }
 
-  ShardOutput out;
+  ShardOutput out = std::move(shard_out_);
   out.down_integral.resize(down_cells_.size());
   out.seed_integral.resize(seed_cells_.size());
   for (std::size_t i = 0; i < down_cells_.size(); ++i) {
@@ -1104,21 +1137,10 @@ ShardOutput EventKernel::shard_finish() {
     out.down_integral[i] = down_cells_[i].integ;
     out.seed_integral[i] = seed_cells_[i].integ;
   }
-  out.closures = std::move(closures_);
   out.arrivals_by_class = arrivals_cls_;
   out.total_arrivals = total_arrivals_;
   out.prim_events = prim_events_;
   out.rate_epochs = rate_epochs_;
-
-  out.sample_time = sampler_->data(live_series_).t;
-  for (unsigned k = 0; k < cfg_.num_files; ++k) {
-    out.down_series.push_back(sampler_->data(down_series_[k]).v);
-    out.seed_series.push_back(sampler_->data(seed_series_[k]).v);
-  }
-  out.live_series = sampler_->data(live_series_).v;
-  out.queue_series = sampler_->data(queue_series_).v;
-  out.recovering_series = sampler_->data(recovering_series_).v;
-
   out.faults_injected = faults_injected_;
   out.downloads_killed = downloads_killed_;
   out.arrivals_dropped = arrivals_dropped_;

@@ -1,6 +1,8 @@
 #include "btmf/sim/sharded_kernel.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -55,50 +57,50 @@ SimResult ShardedKernel::run() {
 
   for (auto& kernel : kernels) kernel->start();
 
-  double barrier_wait_s = 0.0;
-  std::vector<double> task_s(num_shards, 0.0);
-  for (unsigned e = 1; e <= kEpochs; ++e) {
-    const double t_end = e == kEpochs
-                             ? cfg_.horizon
-                             : cfg_.horizon * static_cast<double>(e) /
-                                   static_cast<double>(kEpochs);
-    // fan_out joins every shard before it rethrows, so no shard runs on
-    // against kernels about to be destroyed.
-    parallel::fan_out(num_shards, cfg_.kernel_threads,
-                      [&](std::size_t s, std::size_t) {
-                        const util::Stopwatch sw;
-                        kernels[s]->run_until(t_end);
-                        task_s[s] = sw.seconds();
-                      });
-    // Idle time a fully-parallel execution would spend waiting at this
-    // barrier: every shard sits until the slowest one arrives.
-    const double slowest = *std::max_element(task_s.begin(), task_s.end());
-    double sum = 0.0;
-    for (const double s : task_s) sum += s;
-    barrier_wait_s += static_cast<double>(num_shards) * slowest - sum;
-
-    if (paranoid) {
-      for (unsigned s = 0; s < num_shards; ++s) {
-        if (kernels[s]->current_time() != t_end) {
-          std::ostringstream os;
-          os.precision(17);  // a clock one ulp short must read differently
-          os << "sharded epoch barrier audit failed: shard " << s
-             << " paused at t=" << kernels[s]->current_time()
-             << " instead of the epoch boundary " << t_end;
-          throw AuditError(os.str());
-        }
+  // One fan_out for the run: index s steps shard s through every epoch
+  // end. Shards share no mutable state, so no shard waits for another at
+  // an epoch end; the pause points cut every shard's run at the same
+  // times. shard_s[s] sums shard s's run_until wall times.
+  obs::TraceWriter* const trace = cfg_.obs.trace;
+  std::vector<double> shard_s(num_shards, 0.0);
+  // fan_out joins every shard before it rethrows, so no shard runs on
+  // against kernels about to be destroyed.
+  parallel::fan_out(num_shards, cfg_.kernel_threads, [&](std::size_t s,
+                                                         std::size_t) {
+    EventKernel& kernel = *kernels[s];
+    for (unsigned e = 1; e <= kEpochs; ++e) {
+      const double t_end = e == kEpochs
+                               ? cfg_.horizon
+                               : cfg_.horizon * static_cast<double>(e) /
+                                     static_cast<double>(kEpochs);
+      const util::Stopwatch sw;
+      kernel.run_until(t_end);
+      const double took = sw.seconds();
+      shard_s[s] += took;
+      if (paranoid && kernel.current_time() != t_end) {
+        std::ostringstream os;
+        os.precision(17);  // a clock one ulp short must read differently
+        os << "sharded epoch barrier audit failed: shard " << s
+           << " paused at t=" << kernel.current_time()
+           << " instead of the epoch boundary " << t_end;
+        throw AuditError(os.str());
       }
-    }
-    if (cfg_.obs.trace != nullptr) {
-      for (unsigned s = 0; s < num_shards; ++s) {
+      if (trace != nullptr) {
         std::ostringstream args;
         args << "{\"shard\": " << s << ", \"epoch\": " << e
-             << ", \"t_end\": " << t_end << ", \"task_s\": " << task_s[s]
+             << ", \"t_end\": " << t_end << ", \"task_s\": " << took
              << "}";
-        cfg_.obs.trace->instant("sharded.epoch", args.str());
+        trace->instant("sharded.epoch", args.str());
       }
     }
-  }
+  });
+
+  // Idle time a fully parallel execution would spend waiting for the
+  // slowest shard: S x slowest shard - sum of shard times, over the run.
+  // Summed as sum(slowest - shard) so every term, and the total, is >= 0.
+  const double slowest = *std::max_element(shard_s.begin(), shard_s.end());
+  double barrier_wait_s = 0.0;
+  for (const double t : shard_s) barrier_wait_s += slowest - t;
 
   std::vector<ShardOutput> outs;
   outs.reserve(num_shards);
@@ -130,19 +132,34 @@ SimResult ShardedKernel::merge(std::vector<ShardOutput> outs,
   }
   merged.add_events(prim_events);
 
-  // Fold per-user closures: a user whose files span shards yields one
-  // closure per shard. Sorting by the (globally unique, shard-invariant)
-  // admission seq groups them; the fold rules are order-insensitive
-  // (any/max), so the result does not depend on shard layout.
-  std::vector<ShardClosure> closures;
-  for (ShardOutput& o : outs) {
-    closures.insert(closures.end(), o.closures.begin(), o.closures.end());
-    o.closures.clear();
+  // Fold per-user closures into one entry per admission seq, which is
+  // global and shard-invariant: a user whose files span shards yields one
+  // closure per shard, and the fold rules are order-insensitive
+  // (any/max), so the table does not depend on shard layout. Each shard's
+  // vector is freed once folded. An entry with cls 0 had no closure.
+  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t hi = 0;
+  for (const ShardOutput& o : outs) {
+    for (const ShardClosure& c : o.closures) {
+      lo = std::min(lo, c.seq);
+      hi = std::max(hi, c.seq);
+    }
   }
-  std::sort(closures.begin(), closures.end(),
-            [](const ShardClosure& a, const ShardClosure& b) {
-              return a.seq < b.seq;
-            });
+  std::vector<ShardClosure> users(lo <= hi ? hi - lo + 1 : 0);
+  for (ShardOutput& o : outs) {
+    for (const ShardClosure& c : o.closures) {
+      ShardClosure& user = users[c.seq - lo];
+      if (user.cls == 0) {
+        user = c;
+        continue;
+      }
+      user.censored |= c.censored;
+      user.aborted |= c.aborted;
+      user.online = std::max(user.online, c.online);
+      user.download = std::max(user.download, c.download);
+    }
+    std::vector<ShardClosure>().swap(o.closures);
+  }
   obs::MetricsRegistry* metrics = cfg_.obs.metrics;
   const obs::MetricId hist_online =
       metrics != nullptr ? metrics->histogram("sim.user_online_per_file") : 0;
@@ -151,16 +168,9 @@ SimResult ShardedKernel::merge(std::vector<ShardOutput> outs,
                          : 0;
   const obs::MetricId hist_files =
       metrics != nullptr ? metrics->histogram("sim.user_files") : 0;
-  for (std::size_t i = 0; i < closures.size();) {
-    ShardClosure user = closures[i];
-    std::size_t j = i + 1;
-    for (; j < closures.size() && closures[j].seq == user.seq; ++j) {
-      user.censored |= closures[j].censored;
-      user.aborted |= closures[j].aborted;
-      user.online = std::max(user.online, closures[j].online);
-      user.download = std::max(user.download, closures[j].download);
-    }
-    i = j;
+  // Ascending seq: users are recorded in admission order.
+  for (const ShardClosure& user : users) {
+    if (user.cls == 0) continue;
     if (user.censored != 0) {
       merged.record_censored();
     } else if (user.aborted != 0) {
@@ -206,7 +216,7 @@ SimResult ShardedKernel::merge(std::vector<ShardOutput> outs,
   result.rate_epochs = rate_epochs;
 
   // Sample series merge elementwise: every shard records on the identical
-  // grid (same cadence, same barrier schedule, closed at the horizon).
+  // grid (same cadence, same epoch ends, closed at the horizon).
   const std::vector<double>& axis = outs[0].sample_time;
   for (const ShardOutput& o : outs) {
     BTMF_CHECK_MSG(o.sample_time.size() == axis.size(),
