@@ -5,7 +5,7 @@
 // Every run's wall time is measured around sim::run_simulation, and the
 // four SimResults must be bit-identical: shards and kernel_threads are
 // execution knobs that never change an answer (docs/SCALE.md). A full
-// run peaks at ~4 GB RSS. --smoke shrinks the arrival rate to a CI-sized
+// run peaks at ~4.1 GB RSS. --smoke shrinks the arrival rate to a CI-sized
 // run (seconds, no 10M claim) that still exercises every stage, the JSON
 // shape included.
 #include <cstdint>
