@@ -178,9 +178,6 @@ void expect_root_matches_integration(const CmfsdModel& model,
   const CmfsdEquilibrium root = model.solve();
   math::EquilibriumOptions options;
   options.residual_tol = 1e-9;
-  options.chunk_time = 2000.0;  // several seeding residences (1/gamma = 20)
-  options.chunk_growth = 1.5;
-  options.max_chunks = 40;
   options.ode.rtol = 1e-9;
   options.ode.atol = 1e-12;
   const math::EquilibriumResult oracle = math::find_equilibrium(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "btmf/util/error.h"
@@ -19,16 +21,49 @@ TEST(EquilibriumTest, LinearRelaxationFindsFixedPoint) {
   EXPECT_LE(r.residual_inf, 1e-9);
 }
 
+// y1' = 2 - y1, y2' = y1 - 0.5 y2  ->  y* = (2, 4).
+const OdeRhs kCoupled = [](double, std::span<const double> y,
+                           std::span<double> d) {
+  d[0] = 2.0 - y[0];
+  d[1] = y[0] - 0.5 * y[1];
+};
+
 TEST(EquilibriumTest, CoupledLinearSystem) {
-  // y1' = 2 - y1, y2' = y1 - 0.5 y2  ->  y* = (2, 4).
-  const OdeRhs rhs = [](double, std::span<const double> y,
-                        std::span<double> d) {
-    d[0] = 2.0 - y[0];
-    d[1] = y[0] - 0.5 * y[1];
-  };
-  const EquilibriumResult r = find_equilibrium(rhs, {0.0, 0.0});
+  const EquilibriumResult r = find_equilibrium(kCoupled, {0.0, 0.0});
   EXPECT_NEAR(r.y[0], 2.0, 1e-7);
   EXPECT_NEAR(r.y[1], 4.0, 1e-7);
+  EXPECT_TRUE(r.newton_converged);
+}
+
+TEST(EquilibriumTest, AStallingTransientEndsThroughTheNewtonPolish) {
+  // On kCoupled dopri5 ends up stepping on its stability bound, where
+  // the scaled residual sits at a noise floor of a few 1e-9, above
+  // residual_tol: a residual read only there waits for a lucky dip below
+  // the tolerance. The solve must instead end through the Newton polish,
+  // which solves the linear system at once, within 5000 attempts.
+  EquilibriumOptions options;
+  options.ode.max_steps = 5000;
+  EquilibriumResult r;
+  ASSERT_NO_THROW(r = find_equilibrium(kCoupled, {0.0, 0.0}, options));
+  EXPECT_TRUE(r.newton_converged);
+  EXPECT_LE(r.residual_inf, options.residual_tol);
+  EXPECT_NEAR(r.y[0], 2.0, 1e-9);
+  EXPECT_NEAR(r.y[1], 4.0, 1e-9);
+}
+
+TEST(EquilibriumTest, AResidualPlateauGoesToTheNewtonPolish) {
+  // A residual_tol below the transient's noise floor: no step can meet
+  // it, so the point must go to Newton once the residual stops falling,
+  // well inside 1000 attempts.
+  EquilibriumOptions options;
+  options.residual_tol = 1e-14;
+  options.ode.max_steps = 1000;
+  EquilibriumResult r;
+  ASSERT_NO_THROW(r = find_equilibrium(kCoupled, {0.0, 0.0}, options));
+  EXPECT_TRUE(r.newton_converged);
+  EXPECT_LE(r.residual_inf, options.residual_tol);
+  EXPECT_NEAR(r.y[0], 2.0, 1e-12);
+  EXPECT_NEAR(r.y[1], 4.0, 1e-12);
 }
 
 TEST(EquilibriumTest, NonlinearLogisticEquilibrium) {
@@ -37,9 +72,7 @@ TEST(EquilibriumTest, NonlinearLogisticEquilibrium) {
                         std::span<double> d) {
     d[0] = y[0] * (1.0 - y[0] / 10.0);
   };
-  EquilibriumOptions options;
-  options.chunk_time = 50.0;
-  const EquilibriumResult r = find_equilibrium(rhs, {1.0}, options);
+  const EquilibriumResult r = find_equilibrium(rhs, {1.0});
   EXPECT_NEAR(r.y[0], 10.0, 1e-6);
 }
 
@@ -62,16 +95,41 @@ TEST(EquilibriumTest, DivergentSystemThrows) {
   const OdeRhs rhs = [](double, std::span<const double>,
                         std::span<double> d) { d[0] = 1.0; };
   EquilibriumOptions options;
-  options.max_chunks = 4;
-  options.chunk_time = 10.0;
+  options.ode.max_steps = 200;
   EXPECT_THROW((void)find_equilibrium(rhs, {0.0}, options), SolverError);
+}
+
+TEST(EquilibriumTest, UnboundedGrowthFailsTypedWithinTheStepBudget) {
+  // y' = 1 + y grows without bound: its one fixed point, -1, lies below
+  // the non-negative states, and the scaled residual stays at 1. With
+  // the polish off only ode.max_steps ends the transient. The failure is
+  // a SolverError with the ladder's diagnostics, after at most the
+  // budget's dopri5 attempts and the one evaluation of f at y0: the
+  // residual comes from each step's last stage.
+  std::size_t calls = 0;
+  const OdeRhs rhs = [&calls](double, std::span<const double> y,
+                              std::span<double> d) {
+    ++calls;
+    d[0] = 1.0 + y[0];
+  };
+  EquilibriumOptions options;
+  options.polish_with_newton = false;
+  options.ode.max_steps = 500;
+  std::string what;
+  try {
+    (void)find_equilibrium(rhs, {0.0}, options);
+  } catch (const SolverError& error) {
+    what = error.what();
+  }
+  EXPECT_NE(what.find("rung 0"), std::string::npos) << what;
+  EXPECT_LE(calls, 1 + 6 * (options.ode.max_steps + 1));
 }
 
 TEST(EquilibriumTest, AlreadyAtEquilibriumReturnsImmediately) {
   const OdeRhs rhs = [](double, std::span<const double> y,
                         std::span<double> d) { d[0] = 1.0 - y[0]; };
   const EquilibriumResult r = find_equilibrium(rhs, {1.0});
-  EXPECT_EQ(r.chunks, 0u);
+  EXPECT_EQ(r.integrated_time, 0.0);
   EXPECT_NEAR(r.y[0], 1.0, 1e-12);
 }
 
@@ -82,15 +140,14 @@ TEST(EquilibriumTest, EmptyStateThrows) {
 }
 
 TEST(EquilibriumTest, ClampKeepsPopulationsNonNegative) {
-  // The flow briefly dips the transient below zero without clamping.
+  // The flow briefly dips the transient below zero without clamping;
+  // find_equilibrium always clamps.
   const OdeRhs rhs = [](double, std::span<const double> y,
                         std::span<double> d) {
     d[0] = -10.0 * y[0] + 0.1;
     d[1] = y[0] - y[1];
   };
-  EquilibriumOptions options;
-  options.clamp_nonnegative = true;
-  const EquilibriumResult r = find_equilibrium(rhs, {5.0, 0.0}, options);
+  const EquilibriumResult r = find_equilibrium(rhs, {5.0, 0.0});
   EXPECT_GE(r.y[0], 0.0);
   EXPECT_NEAR(r.y[0], 0.01, 1e-8);
   EXPECT_NEAR(r.y[1], 0.01, 1e-8);

@@ -172,7 +172,7 @@ TEST(ObsSim, ChunkSimFillsItsSinks) {
 TEST(ObsSim, SolverSpansEmitted) {
   obs::TraceWriter trace("solver");
   math::EquilibriumOptions options;
-  options.trace = &trace;
+  options.ode.trace = &trace;
   const math::OdeRhs rhs = [](double, std::span<const double> y,
                               std::span<double> f) {
     f[0] = 1.0 - y[0];  // fixed point at y = 1
@@ -183,6 +183,7 @@ TEST(ObsSim, SolverSpansEmitted) {
   const std::string json = trace.to_json();
   EXPECT_TRUE(obs::test::json_parses(json));
   EXPECT_NE(json.find("\"equilibrium.rung\""), std::string::npos);
+  EXPECT_NE(json.find("\"equilibrium.newton\""), std::string::npos);
   EXPECT_NE(json.find("\"ode.integrate\""), std::string::npos);
 }
 
