@@ -68,9 +68,15 @@ struct ScenarioSpec {
   /// only when non-empty.
   std::vector<fluid::BandwidthClass> bandwidth_classes;
   /// Replications averaged by the stochastic-epidemic backend (its
-  /// CTMC sample paths are noisy at small populations). Fingerprinted
-  /// only when not the default so existing keys are untouched.
+  /// CTMC sample paths are noisy at small populations), from 1 to
+  /// kMaxEpidemicReplications. Fingerprinted only when not the default
+  /// so existing keys are untouched.
   unsigned epidemic_replications = 8;
+  /// The most replications a spec may ask for. The backend allocates one
+  /// row of per-class averages per replication before the first one
+  /// runs: 51 MB at K = kMaxFiles. The bound is 166 times the largest
+  /// count any caller uses (600).
+  static constexpr unsigned kMaxEpidemicReplications = 100'000;
 
   // --- scheme ------------------------------------------------------------
   fluid::SchemeKind scheme = fluid::SchemeKind::kCmfsd;

@@ -19,6 +19,9 @@ void ScenarioSpec::validate() const {
                  "at most 16 bandwidth classes are supported");
   BTMF_CHECK_MSG(epidemic_replications >= 1,
                  "epidemic_replications must be >= 1");
+  BTMF_CHECK_MSG(epidemic_replications <= kMaxEpidemicReplications,
+                 "epidemic_replications must be <= " +
+                     std::to_string(kMaxEpidemicReplications));
   BTMF_CHECK_MSG(rho >= 0.0 && rho <= 1.0, "rho must lie in [0, 1]");
   BTMF_CHECK_MSG(
       rho_per_class.empty() || rho_per_class.size() == num_files,

@@ -119,6 +119,24 @@ TEST(EpidemicBackendTest, UnsampledClassIsNaNNotZero) {
   expect_unsampled(0.1, 7, 7, 10);   // the four rarest classes
 }
 
+TEST(EpidemicBackendTest, RunawayPopulationFailsTyped) {
+  // At lambda0 = 1e8 a replication holds a million peers by t = 0.02 and
+  // would go on to simulate about 10^8 events per unit of time. Like
+  // kernel-sim's max_active_peers, the guard ends it as a typed failure.
+  for (const fluid::SchemeKind scheme :
+       {fluid::SchemeKind::kMtcd, fluid::SchemeKind::kMtsd}) {
+    SCOPED_TRACE(fluid::to_string(scheme));
+    ScenarioSpec spec = small_spec(scheme);
+    spec.visit_rate = 1e8;
+    spec.horizon = 1.0;
+    spec.warmup = 0.5;
+    const Outcome outcome = epidemic().evaluate(spec);
+    EXPECT_EQ(outcome.status, OutcomeStatus::kFailed);
+    EXPECT_NE(outcome.error.find("1000000 peers"), std::string::npos)
+        << outcome.error;
+  }
+}
+
 TEST(EpidemicBackendTest, AcceptsTimeVaryingArrivals) {
   ScenarioSpec spec = small_spec(fluid::SchemeKind::kMtcd);
   spec.arrival = fluid::parse_arrival("diurnal,0.5,400,0");

@@ -203,6 +203,19 @@ TEST(ModelSpecTest, RefusesFileCountsAboveTheBound) {
   EXPECT_NO_THROW(s.validate());
 }
 
+TEST(ModelSpecTest, RefusesEpidemicReplicationCountsAboveTheBound) {
+  // stochastic-epidemic allocates one row of per-class averages per
+  // replication before the first one runs: 10^8 replications of the
+  // default spec would ask for about 8 GB.
+  ScenarioSpec s;
+  s.epidemic_replications = 100'000'000;
+  EXPECT_THROW(s.validate(), ConfigError);
+  s.epidemic_replications = ScenarioSpec::kMaxEpidemicReplications + 1;
+  EXPECT_THROW(s.validate(), ConfigError);
+  s.epidemic_replications = ScenarioSpec::kMaxEpidemicReplications;
+  EXPECT_NO_THROW(s.validate());
+}
+
 TEST(ModelSpecTest, SimConfigFromSpecMapsEveryRunKnob) {
   ScenarioSpec spec;
   spec.num_files = 4;

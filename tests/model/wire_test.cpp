@@ -256,6 +256,20 @@ TEST(ModelWireTest, RejectsFileCountsAboveTheBound) {
             ScenarioSpec::kMaxFiles);
 }
 
+TEST(ModelWireTest, RejectsEpidemicReplicationsAboveTheBound) {
+  // ereps=100000000 used to decode, and stochastic-epidemic's rows then
+  // let std::bad_alloc escape Backend::evaluate under a memory limit.
+  ScenarioSpec spec;
+  spec.scheme = fluid::SchemeKind::kMtcd;
+  const std::string wire = encode_spec(spec);
+  EXPECT_THROW(decode_spec(wire + ";ereps=100000000"), ConfigError);
+  const unsigned bound = ScenarioSpec::kMaxEpidemicReplications;
+  const ScenarioSpec decoded =
+      decode_spec(wire + ";ereps=" + std::to_string(bound));
+  EXPECT_EQ(decoded.epidemic_replications, bound);
+  EXPECT_EQ(encode_spec(decoded), wire + ";ereps=" + std::to_string(bound));
+}
+
 TEST(ModelWireTest, RejectsEpidemicReplicationsAboveUintMax) {
   const std::string wire = encode_spec(ScenarioSpec{});
   EXPECT_THROW(decode_spec(wire + ";ereps=4294967297"), ConfigError);
