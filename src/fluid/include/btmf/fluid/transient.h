@@ -62,10 +62,10 @@ struct TransientSeries {
 /// uniform grid (the last sample at t_end exactly) from the steps'
 /// continuous extensions; the file comment says where steps land and
 /// which integrator takes each. options.ode applies to both integrators,
-/// with clamp_nonnegative on: initial_dt (0 = t_end / 100) is dopri5's
-/// first step, max_dt caps every step, max_steps bounds each
-/// integrator's attempts over the trajectory, and the trace records one
-/// "ode.integrate" span per run of one integrator.
+/// with clamp_nonnegative on: max_dt caps every step, max_steps bounds
+/// each integrator's attempts over the trajectory, and the trace records
+/// one "ode.integrate" span per run of one integrator. dopri5's first
+/// step is t_end / 100.
 TransientSeries sample_trajectory(const math::OdeSystem& system,
                                   std::vector<double> y0,
                                   const TransientOptions& options = {});

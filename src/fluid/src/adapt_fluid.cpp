@@ -182,9 +182,6 @@ AdaptFluidEquilibrium AdaptFluidModel::solve() const {
 
   math::EquilibriumOptions options;
   options.residual_tol = 1e-7;
-  options.chunk_time = 4000.0;
-  options.chunk_growth = 1.5;
-  options.max_chunks = 30;
   options.ode.rtol = 1e-8;
   options.ode.atol = 1e-11;
   // The rho switching law is only piecewise smooth; skip the Newton

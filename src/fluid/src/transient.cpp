@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "btmf/math/vec.h"
-#include "btmf/obs/trace.h"
 #include "btmf/util/check.h"
 
 namespace btmf::fluid {
@@ -55,38 +54,6 @@ constexpr double kImplicitGain = 2.0;
 // follows their slowest relaxation; like every other step it does not
 // depend on the sample grid.
 constexpr double kImplicitCap = 30.0;
-
-/// One "ode.integrate" span per run of one integrator, stamped with the
-/// run's [t0, t1] and its step counts.
-class RunTrace {
- public:
-  explicit RunTrace(obs::TraceWriter* trace) : trace_(trace) {}
-
-  template <class Stepper>
-  void begin(const Stepper& stepper) {
-    if (trace_ == nullptr) return;
-    span_.emplace(trace_->span("ode.integrate"));
-    t0_ = stepper.t();
-    accepted_ = stepper.accepted();
-    rejected_ = stepper.rejected();
-  }
-
-  template <class Stepper>
-  void end(const char* method, const Stepper& stepper) {
-    if (!span_.has_value()) return;
-    span_->set_args(math::integrate_span_args(
-        method, t0_, stepper.t(), stepper.accepted() - accepted_,
-        stepper.rejected() - rejected_));
-    span_.reset();
-  }
-
- private:
-  obs::TraceWriter* trace_;
-  std::optional<obs::TraceWriter::Span> span_;
-  double t0_ = 0.0;
-  std::size_t accepted_ = 0;
-  std::size_t rejected_ = 0;
-};
 
 }  // namespace
 
@@ -138,16 +105,14 @@ TransientSeries sample_trajectory(const math::OdeSystem& system,
                             : std::numeric_limits<double>::infinity();
   const double min_dt = t_end * 1e-14;
   math::Dopri5Stepper explicit_steps(f.rhs, ode);
-  explicit_steps.start(0.0, series.states.front(),
-                       ode.initial_dt > 0.0 ? ode.initial_dt : t_end / 100.0,
-                       max_dt);
+  explicit_steps.start(0.0, series.states.front(), t_end / 100.0, max_dt);
   std::unique_ptr<math::StageSolver> stages;  // made at the first switch
   std::optional<math::RosenbrockStepper> implicit_steps;
   bool implicit = false;
   std::size_t fired = 0;      // fired dopri5 steps since the last calm run
   std::size_t calm = 0;       // dopri5 steps in a row that passed the test
   double stable_dt = 0.0;     // dopri5's last step on its stability bound
-  RunTrace run(ode.trace);
+  math::IntegrateSpan run(ode.trace);
   run.begin(explicit_steps);
 
   // Fills every sample up to the last step's end from its extension,

@@ -1,5 +1,5 @@
 // The adaptive Dormand–Prince 5(4) integrator with PI-free standard step
-// control: the solver behind the equilibrium finder, and the head of
+// control: the transient of the equilibrium finder, and the head of
 // every fluid transient.
 //
 // The BitTorrent fluid models relax at rates ~ mu, gamma (both << 1 per
@@ -10,15 +10,17 @@
 // test, and fluid::sample_trajectory hands a tail that keeps failing it
 // to the linearly implicit integrator in math/rosenbrock.h.
 //
-// The method is also a stepper (Dopri5Stepper) that takes one accepted
-// step at a time and evaluates Hairer's continuous extension over it, so
-// a caller can read a trajectory at any time without ending a step there.
+// The method is a stepper (Dopri5Stepper) that takes one accepted step
+// at a time and evaluates Hairer's continuous extension over it, so a
+// caller can read a trajectory at any time without ending a step there.
+// Its callers (fluid::sample_trajectory, math::find_equilibrium) drive
+// it in their own loops.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "btmf/obs/trace.h"
@@ -31,66 +33,49 @@ using OdeRhs =
     std::function<void(double t, std::span<const double> y,
                        std::span<double> dydt)>;
 
-/// Observer invoked after each accepted step with (t, y); may be empty.
-using OdeObserver =
-    std::function<void(double t, std::span<const double> y)>;
-
 struct AdaptiveOptions {
   double rtol = 1e-8;          ///< relative tolerance
   double atol = 1e-10;         ///< absolute tolerance
-  /// First step to try; 0 = (t1 - t0) / 100. Pass the previous call's
-  /// AdaptiveResult::next_dt to continue a trajectory across intervals.
-  double initial_dt = 0.0;
   double max_dt = 0.0;         ///< 0 = no cap
   std::size_t max_steps = 1'000'000;
   /// Clip tiny negative populations after each accepted step. The
   /// first-same-as-last stage is reused unless the clip changed the state.
   bool clamp_nonnegative = false;
 
-  /// Optional Chrome-trace writer (non-owning, null = inert): the whole
-  /// integration becomes one "ode.integrate" span stamped with the
-  /// method, the span of time and the accepted/rejected step counts.
+  /// Optional Chrome-trace writer (non-owning, null = inert): each run of
+  /// one stepper becomes an "ode.integrate" span (IntegrateSpan).
   obs::TraceWriter* trace = nullptr;
-};
-
-struct AdaptiveResult {
-  std::vector<double> y;       ///< state at the final time
-  double t = 0.0;              ///< final time reached (exactly t1)
-  std::size_t accepted_steps = 0;
-  std::size_t rejected_steps = 0;
-  /// The step the controller proposed after the final accepted step (0 if
-  /// no step was taken): the initial_dt for a call continuing from t1. A
-  /// landing step shortened to hit t1 carries the proposal it was
-  /// shortened from, or its own if that is larger.
-  double next_dt = 0.0;
 };
 
 /// Dormand–Prince RK5(4) with embedded error estimate and standard
 /// step-size control, one accepted step at a time.
 ///
 /// start() places the stepper at (t, y); each step() then retries its
-/// attempt until one passes the error test, and stops there. Between two
-/// steps, dense() evaluates the order-4 continuous extension of the last
-/// step (Hairer's CONTD5, built from its seven stages at no extra cost of
-/// f). Every accepted step also estimates h * rho(J) from its two stages
-/// at t + h, as Hairer's DOPRI5 does, and reports it in stiff() when it
-/// exceeds 3.25, where the step sits on the method's stability bound
-/// (Hairer & Wanner II, Sec. IV.2); the estimate reads values the step
-/// computes anyway and moves no result. The stepper reads rtol, atol,
-/// max_steps and clamp_nonnegative from its options; start() takes the
-/// first step and the cap that initial_dt and max_dt name for
-/// integrate_dopri5.
+/// attempt until one passes the error test, and stops there. The new
+/// state is the last stage's argument, y + h sum_j b5_j k_j (the
+/// first-same-as-last row, a_7j = b5_j), so the last stage is f at the
+/// new state exactly: fsal() hands it to the caller, and the next step
+/// starts from it. The error is h sum_j e_j k_j with e = b5 - b4. Between
+/// two steps, dense() evaluates the order-4 continuous extension of the
+/// last step (Hairer's CONTD5, built from its seven stages at no extra
+/// cost of f). Every accepted step also estimates h * rho(J) from its two
+/// stages at t + h, as Hairer's DOPRI5 does, and reports it in stiff()
+/// when it exceeds 3.25, where the step sits on the method's stability
+/// bound (Hairer & Wanner II, Sec. IV.2); the estimate reads values the
+/// step computes anyway and moves no result. The stepper reads rtol,
+/// atol, max_steps and clamp_nonnegative from its options; start() takes
+/// the first step and the cap.
 ///
 /// Arithmetic order, which the bit-exact tests pin: every loop runs
-/// component-outer (one pass per stage argument, one for the 5th-order
-/// state and its scaled error, one for the sums over the components,
-/// one per dense() call), and each component adds its terms in stage
-/// order from the textbook start (y_i, or 0 for the weighted sums of the
-/// 5th- and 4th-order results and of the extension's correction), zero
-/// weights included. Only the sums over the components (the error norm
-/// and the stiffness test's two norms) couple components, and they add
-/// in index order. No term is fused or reassociated, so any loop order
-/// that keeps these sequences gives the same bits.
+/// component-outer (one pass per stage argument, one for the scaled
+/// error, one for the sums over the components, one per dense() call),
+/// and each component adds its terms in stage order from the textbook
+/// start (y_i, or 0 for the weighted sums of the error and of the
+/// extension's correction), zero weights included. Only the sums over
+/// the components (the error norm and the stiffness test's two norms)
+/// couple components, and they add in index order. No term is fused or
+/// reassociated, so any loop order that keeps these sequences gives the
+/// same bits.
 class Dopri5Stepper {
  public:
   /// Holds `rhs` by reference; it must outlive the stepper.
@@ -108,8 +93,9 @@ class Dopri5Stepper {
   /// Takes one accepted step towards t1 > t(). The step lands on t1
   /// exactly if it would reach t1 or leave less than `min_dt` of it; a
   /// landing step shortened to hit t1 leaves next_dt() at the proposal
-  /// it was shortened from. Throws btmf::SolverError when the step falls
-  /// below min_dt or the attempts since construction pass max_steps.
+  /// it was shortened from. Throws btmf::SolverError, with the stepper
+  /// left at its last accepted step, when the step falls below min_dt or
+  /// an attempt would pass max_steps since construction.
   void step(double t1, double min_dt);
 
   /// Writes the continuous extension of the last accepted step at
@@ -117,6 +103,12 @@ class Dopri5Stepper {
   /// start and end states at its two ends. Valid until the next step()
   /// or start().
   void dense(double t, std::span<double> out) const;
+
+  /// f at (t(), y()) when the last accepted step left the state where
+  /// its last stage evaluated f; empty before the first step, after a
+  /// clamp moved the state, and after start() or refresh(). Valid until
+  /// the next step() or start().
+  [[nodiscard]] std::span<const double> fsal() const;
 
   [[nodiscard]] double t() const { return t_; }
   [[nodiscard]] std::span<const double> y() const { return y_; }
@@ -152,31 +144,50 @@ class Dopri5Stepper {
   // The seven stages k_0..k_6 back to back: stage s is k[s*n, (s+1)*n).
   std::vector<double> k_;
   std::vector<double> y_;
-  // A trial step's 5th-order result; once the step is accepted, the
-  // state it started from.
-  std::vector<double> y5_;
   std::vector<double> y_stage_;
   // A trial step's error, component by component, scaled by each
   // component's tolerance: the terms of its weighted RMS norm.
   std::vector<double> err_;
   // The last stage's argument, kept apart from stage 5's so the stiffness
-  // test can compare the two stages evaluated at t + h.
+  // test can compare the two stages evaluated at t + h: a trial step's
+  // new state; once the step is accepted, the state it started from.
   std::vector<double> y_last_;
 };
 
-/// Dormand–Prince RK5(4) from t0 to t1: Dopri5Stepper's steps until the
-/// last lands exactly on t1; a remainder below the underflow floor (1e-14
-/// of the span) is absorbed into it. With max_dt = 0 the span caps every
-/// step. Throws btmf::SolverError if the step size underflows or the step
-/// budget is exhausted.
-AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
-                                double t0, double t1,
-                                const AdaptiveOptions& options = {},
-                                const OdeObserver& observer = {});
+/// One "ode.integrate" span per run of one stepper (Dopri5Stepper or
+/// RosenbrockStepper), stamped with the method, the run's [t0, t1] and
+/// its accepted and rejected step counts. Inert when `trace` is null.
+class IntegrateSpan {
+ public:
+  explicit IntegrateSpan(obs::TraceWriter* trace) : trace_(trace) {}
 
-/// The args of an "ode.integrate" span: the method, its [t0, t1] and the
-/// accepted and rejected step counts.
-std::string integrate_span_args(const char* method, double t0, double t1,
-                                std::size_t accepted, std::size_t rejected);
+  /// Opens the span at the stepper's t() and step counts.
+  template <class Stepper>
+  void begin(const Stepper& stepper) {
+    if (trace_ == nullptr) return;
+    span_.emplace(trace_->span("ode.integrate"));
+    t0_ = stepper.t();
+    accepted_ = stepper.accepted();
+    rejected_ = stepper.rejected();
+  }
+
+  /// Closes the span opened by begin(), with the steps taken since.
+  template <class Stepper>
+  void end(const char* method, const Stepper& stepper) {
+    if (!span_.has_value()) return;
+    close(method, stepper.t(), stepper.accepted() - accepted_,
+          stepper.rejected() - rejected_);
+  }
+
+ private:
+  void close(const char* method, double t1, std::size_t accepted,
+             std::size_t rejected);
+
+  obs::TraceWriter* trace_;
+  std::optional<obs::TraceWriter::Span> span_;
+  double t0_ = 0.0;
+  std::size_t accepted_ = 0;
+  std::size_t rejected_ = 0;
+};
 
 }  // namespace btmf::math

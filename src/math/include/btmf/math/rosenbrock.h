@@ -103,9 +103,10 @@ class RosenbrockStepper {
   /// Takes one accepted step towards t1 > t() and returns true, or
   /// returns false, at t() unchanged, as soon as a rejected attempt
   /// proposes a step below `stop_below`: the point where the caller
-  /// finds the method no longer pays. Throws btmf::SolverError on
-  /// step-size underflow (below min_dt), attempts since construction
-  /// beyond max_steps or a singular stage system.
+  /// finds the method no longer pays. Throws btmf::SolverError, with the
+  /// stepper left at its last accepted step, on step-size underflow
+  /// (below min_dt), an attempt that would pass max_steps since
+  /// construction or a singular stage system.
   bool step(double t1, double min_dt, double stop_below = 0.0);
 
   /// Writes the continuous extension of the last accepted step at

@@ -4,8 +4,8 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "btmf/math/vec.h"
@@ -27,17 +27,16 @@ constexpr double kA[7][6] = {
     {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656},
     {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84},
 };
-// 5th-order solution weights (same as the 7th stage row: FSAL property).
-constexpr double kB5[7] = {35.0 / 384,      0.0,         500.0 / 1113,
-                           125.0 / 192,     -2187.0 / 6784, 11.0 / 84,
-                           0.0};
+// The error weights e = b5 - b4, exactly (Hairer's DOPRI5): b5 is the
+// last stage's row above (first same as last, with b5_6 = 0) and b4 the
+// embedded 4th-order weights 5179/57600, 0, 7571/16695, 393/640,
+// -92097/339200, 187/2100, 1/40.
+constexpr double kE[7] = {71.0 / 57600,      0.0,         -71.0 / 16695,
+                          71.0 / 1920,       -17253.0 / 339200,
+                          22.0 / 525,        -1.0 / 40};
 // h * rho(J) beyond which a step sits on dopri5's stability bound, whose
 // real-axis extent is about 3.3 (Hairer & Wanner II, Sec. IV.2).
 constexpr double kStiffBound = 3.25;
-// Embedded 4th-order weights.
-constexpr double kB4[7] = {5179.0 / 57600,  0.0,          7571.0 / 16695,
-                           393.0 / 640,     -92097.0 / 339200,
-                           187.0 / 2100,    1.0 / 40};
 // The order-4 continuous extension's stage weights (Hairer, Norsett &
 // Wanner I, Sec. II.6; the d_i of DOPRI5's CONTD5). Stage 1 has none.
 constexpr double kD[7] = {-12715105075.0 / 11282082432.0,
@@ -70,22 +69,16 @@ constexpr auto kStageArgument =
       return std::array{&stage_argument<S + 1>...};
     }(std::make_index_sequence<kStages - 1>{});
 
-/// The 5th-order state y5 = y + h sum_s b5_s k_s and each component's
-/// term of the error's weighted RMS norm (wrms_norm),
-/// h sum_s (b5_s - b4_s) k_s / (atol + rtol |y|). Each component adds its
-/// seven terms of both sums in stage order from 0, zero weights included.
-void fifth_order(double h, double atol, double rtol, std::size_t n,
-                 const double* __restrict y, const double* __restrict k,
-                 double* __restrict y5, double* __restrict err) {
+/// Each component's term of the error's weighted RMS norm (wrms_norm),
+/// h sum_s e_s k_s / (atol + rtol |y|). Each component adds its seven
+/// terms in stage order from 0, zero weights included.
+void scaled_error(double h, double atol, double rtol, std::size_t n,
+                  const double* __restrict y, const double* __restrict k,
+                  double* __restrict err) {
   for (std::size_t i = 0; i < n; ++i) {
-    double acc5 = 0.0;
-    double acc4 = 0.0;
-    for (std::size_t s = 0; s < kStages; ++s) {
-      acc5 += kB5[s] * k[s * n + i];
-      acc4 += kB4[s] * k[s * n + i];
-    }
-    y5[i] = y[i] + h * acc5;
-    err[i] = h * (acc5 - acc4) / (atol + rtol * std::abs(y[i]));
+    double acc = 0.0;
+    for (std::size_t s = 0; s < kStages; ++s) acc += kE[s] * k[s * n + i];
+    err[i] = h * acc / (atol + rtol * std::abs(y[i]));
   }
 }
 
@@ -94,7 +87,7 @@ void fifth_order(double h, double atol, double rtol, std::size_t n,
 Dopri5Stepper::Dopri5Stepper(const OdeRhs& rhs, const AdaptiveOptions& options)
     : rhs_(rhs), options_(options) {
   BTMF_CHECK_MSG(options.rtol > 0.0 && options.atol > 0.0,
-                 "integrate_dopri5: tolerances must be positive");
+                 "dopri5: tolerances must be positive");
 }
 
 void Dopri5Stepper::start(double t, std::span<const double> y, double dt,
@@ -102,7 +95,7 @@ void Dopri5Stepper::start(double t, std::span<const double> y, double dt,
   if (y.size() != n_) {
     n_ = y.size();
     k_.assign(kStages * n_, 0.0);
-    for (std::vector<double>* v : {&y_, &y5_, &y_stage_, &y_last_, &err_}) {
+    for (std::vector<double>* v : {&y_, &y_stage_, &y_last_, &err_}) {
       v->assign(n_, 0.0);
     }
   }
@@ -120,7 +113,7 @@ void Dopri5Stepper::refresh() { stage0_ = Stage0::kEvaluate; }
 void Dopri5Stepper::step(double t1, double min_dt) {
   const std::size_t n = n_;
   // FSAL: stage 0 of this step reuses stage 6 of the last accepted one,
-  // unless the clip moved the state off y5 or the caller moved it.
+  // unless the clip moved the state or the caller moved it.
   if (stage0_ == Stage0::kEvaluate) {
     rhs_(t_, y_, stage(0));
   } else if (stage0_ == Stage0::kCopy) {
@@ -130,18 +123,22 @@ void Dopri5Stepper::step(double t1, double min_dt) {
   stage0_ = Stage0::kReady;
 
   // Every loop below runs component-outer: one pass over the components
-  // for each stage argument, one for the 5th-order state and the scaled
-  // error, and one for the sums over the components. Each component adds
-  // its terms in stage order from the textbook form's start (y, or 0 for
-  // the weighted sums), zero weights included, and each sum over the
-  // components adds its terms in index order, so every result is the
-  // textbook form's bit for bit. The first two kinds of pass write each
-  // component on its own from restrict-qualified rows, which the
-  // compiler vectorises; the sums stay in order, and so serial.
+  // for each stage argument, one for the scaled error, and one for the
+  // sums over the components. Each component adds its terms in stage
+  // order from the textbook form's start (y, or 0 for the weighted sum),
+  // zero weights included, and each sum over the components adds its
+  // terms in index order, so every result is the textbook form's bit for
+  // bit. The first two kinds of pass write each component on its own
+  // from restrict-qualified rows, which the compiler vectorises; the sums
+  // stay in order, and so serial.
   for (;;) {
     if (dt_ < min_dt) {
       throw SolverError("dopri5: step size underflow at t = " +
                         std::to_string(t_));
+    }
+    if (accepted_ + rejected_ >= options_.max_steps) {
+      throw SolverError("dopri5: exceeded max_steps = " +
+                        std::to_string(options_.max_steps));
     }
     // The step that reaches t1 (or would leave less than min_dt of it)
     // is shortened or stretched to land on t1 exactly.
@@ -157,20 +154,19 @@ void Dopri5Stepper::step(double t1, double min_dt) {
       rhs_(t_ + kC[s] * h, arg, stage(s));
     }
 
-    fifth_order(h, options_.atol, options_.rtol, n, y, k, y5_.data(),
-                err_.data());
+    scaled_error(h, options_.atol, options_.rtol, n, y, k, err_.data());
     // The error norm, and the stiffness test's sums: stages 5 and 6 both
     // sit at t + h, so |k6 - k5| / |y6 - y5| estimates rho(J) along the
-    // error's direction. A state that is not finite fails the step
-    // whatever the norm reads.
+    // error's direction. The new state is stage 6's argument. A state
+    // that is not finite fails the step whatever the norm reads.
     bool finite = true;
     bool negative = false;
     double err_sum = 0.0;
     double dk = 0.0;
     double dy = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      finite &= std::isfinite(y5_[i]);
-      negative |= y5_[i] < 0.0;
+      finite &= std::isfinite(y_last_[i]);
+      negative |= y_last_[i] < 0.0;
       err_sum += err_[i] * err_[i];
       const double a = k[6 * n + i] - k[5 * n + i];
       const double b = y_last_[i] - y_stage_[i];
@@ -188,20 +184,15 @@ void Dopri5Stepper::step(double t1, double min_dt) {
       t_prev_ = t_;
       h_ = h;
       t_ = last ? t1 : t_ + h;
-      y_.swap(y5_);
+      y_.swap(y_last_);
       const bool clamped = options_.clamp_nonnegative && negative;
       if (clamped) clamp_nonnegative(y_);
       ++accepted_;
-      // k_6, evaluated at (t + h, y5), is the next step's k_0 — unless
-      // the clip moved the state off y5.
+      // k_6, evaluated at the new state, is the next step's k_0 — unless
+      // the clip moved the state.
       stage0_ = clamped ? Stage0::kEvaluate : Stage0::kCopy;
     } else {
       ++rejected_;
-    }
-
-    if (accepted_ + rejected_ > options_.max_steps) {
-      throw SolverError("dopri5: exceeded max_steps = " +
-                        std::to_string(options_.max_steps));
     }
 
     // Standard controller: dt *= 0.9 * err^(-1/5), limited to [0.2, 5] x.
@@ -232,7 +223,7 @@ void Dopri5Stepper::dense(double t, std::span<double> out) const {
   const std::size_t n = n_;
   const double theta = (t - t_prev_) / h;
   const double theta1 = 1.0 - theta;
-  const double* __restrict const y0 = y5_.data();
+  const double* __restrict const y0 = y_last_.data();
   const double* __restrict const y1 = y_.data();
   const double* __restrict const k = k_.data();
   double* __restrict const y = out.data();
@@ -246,53 +237,19 @@ void Dopri5Stepper::dense(double t, std::span<double> out) const {
   }
 }
 
-AdaptiveResult integrate_dopri5(const OdeRhs& rhs, std::vector<double> y0,
-                                double t0, double t1,
-                                const AdaptiveOptions& options,
-                                const OdeObserver& observer) {
-  BTMF_CHECK_MSG(t1 >= t0, "integrate_dopri5: t1 must be >= t0");
-  Dopri5Stepper stepper(rhs, options);
-
-  const std::size_t n = y0.size();
-  AdaptiveResult result;
-  result.y = std::move(y0);
-  result.t = t0;
-  if (t1 == t0 || n == 0) return result;
-
-  std::optional<obs::TraceWriter::Span> span;
-  if (options.trace != nullptr) {
-    span.emplace(options.trace->span("ode.integrate"));
-  }
-
-  const double span_t = t1 - t0;
-  const double dt = options.initial_dt > 0.0 ? options.initial_dt
-                                             : span_t / 100.0;
-  const double max_dt = options.max_dt > 0.0 ? options.max_dt : span_t;
-  const double min_dt = span_t * 1e-14;
-  stepper.start(t0, result.y, dt, max_dt);
-  while (stepper.t() < t1) {
-    stepper.step(t1, min_dt);
-    if (observer) observer(stepper.t(), stepper.y());
-  }
-  std::copy(stepper.y().begin(), stepper.y().end(), result.y.begin());
-  result.t = stepper.t();
-  result.accepted_steps = stepper.accepted();
-  result.rejected_steps = stepper.rejected();
-  result.next_dt = stepper.next_dt();
-  if (span.has_value()) {
-    span->set_args(integrate_span_args("dopri5", t0, t1, stepper.accepted(),
-                                       stepper.rejected()));
-  }
-  return result;
+std::span<const double> Dopri5Stepper::fsal() const {
+  if (stage0_ != Stage0::kCopy) return {};
+  return {k_.data() + 6 * n_, n_};
 }
 
-std::string integrate_span_args(const char* method, double t0, double t1,
-                                std::size_t accepted, std::size_t rejected) {
+void IntegrateSpan::close(const char* method, double t1, std::size_t accepted,
+                          std::size_t rejected) {
   std::ostringstream args;
-  args << "{\"method\": \"" << method << "\", \"t0\": " << t0
+  args << "{\"method\": \"" << method << "\", \"t0\": " << t0_
        << ", \"t1\": " << t1 << ", \"accepted\": " << accepted
        << ", \"rejected\": " << rejected << "}";
-  return args.str();
+  span_->set_args(args.str());
+  span_.reset();
 }
 
 }  // namespace btmf::math

@@ -157,6 +157,10 @@ bool RosenbrockStepper::step(double t1, double min_dt, double stop_below) {
       throw SolverError("rosenbrock: step size underflow at t = " +
                         std::to_string(t_));
     }
+    if (accepted_ + rejected_ >= options_.max_steps) {
+      throw SolverError("rosenbrock: exceeded max_steps = " +
+                        std::to_string(options_.max_steps));
+    }
     double h = dt_;
     const bool last = t1 - t_ - h < min_dt;
     if (last) h = t1 - t_;
@@ -206,11 +210,6 @@ bool RosenbrockStepper::step(double t1, double min_dt, double stop_below) {
       evaluate_f();
     } else {
       ++rejected_;
-    }
-
-    if (accepted_ + rejected_ > options_.max_steps) {
-      throw SolverError("rosenbrock: exceeded max_steps = " +
-                        std::to_string(options_.max_steps));
     }
 
     // dt *= 0.9 * err^(-1/3) (the embedded formula has order 2), limited
