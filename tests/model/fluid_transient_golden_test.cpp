@@ -455,28 +455,28 @@ struct PinnedBits {
 
 // clang-format off
 const PinnedBits kPinnedBits[] = {
-    {"MTCD/p0.15", 0xa3b6da0392aea368ULL},
-    {"MTSD/p0.15", 0x71bc7c0a8aa37188ULL},
-    {"MFCD/p0.15", 0xa3b6da0392aea368ULL},
-    {"CMFSD/p0.15/rho0.05", 0xcf14ff591c1581e8ULL},
-    {"CMFSD/p0.15/rho0.5", 0xebc78ac42524d5f0ULL},
-    {"CMFSD/p0.15/rho1", 0x981e2f1036d2cb25ULL},
-    {"MTCD/p0.5", 0x64128aabe9901dbbULL},
-    {"MTSD/p0.5", 0xc3a44f224ee130f2ULL},
-    {"MFCD/p0.5", 0x64128aabe9901dbbULL},
-    {"CMFSD/p0.5/rho0.05", 0x1305b5268bbd9590ULL},
-    {"CMFSD/p0.5/rho0.5", 0x22e16bc757dfdc7bULL},
-    {"CMFSD/p0.5/rho1", 0xe2c20f191053a236ULL},
-    {"MTCD/p0.95", 0x7cd5bb7f51f2ca8dULL},
-    {"MTSD/p0.95", 0xfe524cf43f104804ULL},
-    {"MFCD/p0.95", 0x7cd5bb7f51f2ca8dULL},
-    {"CMFSD/p0.95/rho0.05", 0x9b4788dc5132acfeULL},
-    {"CMFSD/p0.95/rho0.5", 0xaa413f1dc9f70ff2ULL},
-    {"CMFSD/p0.95/rho1", 0xc1b61fd5369e8b60ULL},
-    {"MTCD/p0.5/diurnal", 0x27b77115a8ad553cULL},
-    {"CMFSD/p0.5/rho0.3/flash", 0x57307621d1ae2b60ULL},
-    {"MTCD/K1", 0xa5fc63e575b5bb85ULL},
-    {"CMFSD/K1", 0x69c3f2f57952decfULL},
+    {"MTCD/p0.15", 0x8b9512f7c784dd3eULL},
+    {"MTSD/p0.15", 0xdeee848dde8e8a1fULL},
+    {"MFCD/p0.15", 0x8b9512f7c784dd3eULL},
+    {"CMFSD/p0.15/rho0.05", 0x01474aaa8655e219ULL},
+    {"CMFSD/p0.15/rho0.5", 0x38db862f6a34c12eULL},
+    {"CMFSD/p0.15/rho1", 0xe68b1401dbd611a9ULL},
+    {"MTCD/p0.5", 0x65e49e4e8d506238ULL},
+    {"MTSD/p0.5", 0x45f862f1dc065d23ULL},
+    {"MFCD/p0.5", 0x65e49e4e8d506238ULL},
+    {"CMFSD/p0.5/rho0.05", 0x2b5a9f9f35ed5919ULL},
+    {"CMFSD/p0.5/rho0.5", 0x0412abd421743641ULL},
+    {"CMFSD/p0.5/rho1", 0x3b262de9e7a5907aULL},
+    {"MTCD/p0.95", 0xddd9deb0d28dc6f3ULL},
+    {"MTSD/p0.95", 0x6eb2bb9f871b1ab0ULL},
+    {"MFCD/p0.95", 0xddd9deb0d28dc6f3ULL},
+    {"CMFSD/p0.95/rho0.05", 0xec9cd1219ab88178ULL},
+    {"CMFSD/p0.95/rho0.5", 0xd7ae1b2b80a4b8ccULL},
+    {"CMFSD/p0.95/rho1", 0x352c981aa0a2adbdULL},
+    {"MTCD/p0.5/diurnal", 0x1f9f07d800cf094aULL},
+    {"CMFSD/p0.5/rho0.3/flash", 0x78b7da02e3675fe1ULL},
+    {"MTCD/K1", 0xbd2665b0f077412aULL},
+    {"CMFSD/K1", 0xe312cb4f43c10d4bULL},
 };
 // clang-format on
 
