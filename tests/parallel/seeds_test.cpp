@@ -10,6 +10,9 @@ namespace {
 TEST(SeedsTest, Deterministic) {
   EXPECT_EQ(derive_seed(42, 0), derive_seed(42, 0));
   EXPECT_EQ(derive_seed(7, 123), derive_seed(7, 123));
+  // The standard SplitMix64 reference value: every derived seed, and so
+  // every stochastic result, goes through this mixer.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
 }
 
 TEST(SeedsTest, DistinctStreamsGetDistinctSeeds) {

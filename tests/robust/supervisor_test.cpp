@@ -117,29 +117,68 @@ TEST(RobustSupervisorTest, NonFiniteRejectionIsOptIn) {
 }
 
 TEST(RobustSupervisorTest, TimeoutsCountAndCooperativeRetryRecovers) {
+  // The first attempt overruns and polls nothing: it is abandoned at the
+  // deadline, and the retry, which finishes in time, recovers.
+  static std::atomic<bool> first_done{false};
+  first_done = false;
   obs::MetricsRegistry metrics;
   SupervisorOptions options = instant(1);
   options.timeout_s = 0.05;
-  options.grace_s = 5.0;
   options.metrics = &metrics;
   const SuperviseOutcome outcome = supervise(
       [](const TaskContext& context) -> Values {
         if (context.attempt == 0) {
-          // First attempt: a well-behaved but too-slow loop.
-          CancelToken* token = active_cancel_token();
-          for (int i = 0; i < 10'000; ++i) {
-            if (token != nullptr) token->checkpoint("test.slow");
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(300));
+          first_done = true;
         }
         return Values{{"v", 3.5}};
       },
       options, 1);
+  for (int i = 0; i < 200 && !first_done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(first_done);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.attempts, 2u);
   EXPECT_EQ(outcome.timeouts, 1u);
+  EXPECT_DOUBLE_EQ(outcome.values.at("v"), 3.5);
   const obs::MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.counters.at("robust.timeouts"), 1u);
+}
+
+TEST(RobustSupervisorTest, OneDeadlineRuleInBothModes) {
+  // The same overrun is a timeout in-process and in a forked worker: the
+  // watchdog detaches its worker at the deadline, as run_isolated kills
+  // its child there.
+  static std::atomic<bool> worker_done{false};
+  worker_done = false;
+  const Task task = [](const TaskContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(800));
+    worker_done = true;
+    return Values{{"v", 1.0}};
+  };
+  SupervisorOptions options;
+  options.timeout_s = 0.2;
+  const auto start = std::chrono::steady_clock::now();
+  const SuperviseOutcome in_process = supervise(task, options, 1);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(in_process.failure.kind, FailureKind::kTimeout);
+  EXPECT_EQ(in_process.timeouts, 1u);
+  EXPECT_LT(elapsed, 0.6);
+  // Let the abandoned worker finish before the next attempt forks and the
+  // test ends, so leak checkers see a quiescent process.
+  for (int i = 0; i < 200 && !worker_done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(worker_done);
+#if defined(__unix__) || defined(__APPLE__)
+  options.isolate = true;
+  const SuperviseOutcome isolated = supervise(task, options, 1);
+  EXPECT_EQ(isolated.failure.kind, FailureKind::kTimeout);
+  EXPECT_EQ(isolated.timeouts, 1u);
+#endif
 }
 
 TEST(RobustSupervisorTest, AbandonedAttemptSurvivesTaskTeardown) {
@@ -206,6 +245,21 @@ TEST(RobustSupervisorTest, BackoffScaleZeroMakesRetriesInstant) {
           .count();
   EXPECT_FALSE(outcome.ok());
   EXPECT_LT(elapsed, 5.0);
+}
+
+TEST(RobustSupervisorTest, RetriesRunBackToBack) {
+  SupervisorOptions options;
+  options.retry.retries = 3;
+  const auto start = std::chrono::steady_clock::now();
+  const SuperviseOutcome outcome = supervise(
+      [](const TaskContext&) -> Values { throw SolverError("always"); },
+      options, 1);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(outcome.failure.kind, FailureKind::kError);
+  EXPECT_EQ(outcome.attempts, 4u);
+  EXPECT_LT(elapsed, 0.3);
 }
 
 }  // namespace
