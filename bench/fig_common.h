@@ -34,7 +34,7 @@ inline int run_figure_bench(const std::string& program,
   parser.add_option("jobs", "0", "cap on worker threads (0 = no cap)");
   if (!parser.parse(argc, argv)) return 0;
 
-  sweep::ReproduceOptions options;
+  sweep::SweepOptions options;
   options.cache_dir = parser.get("cache-dir");
   const long long jobs = parser.get_int("jobs");
   if (jobs < 0) throw ConfigError("--jobs must be >= 0");

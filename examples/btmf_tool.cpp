@@ -351,8 +351,9 @@ void add_robust_options(util::ArgParser& parser) {
   parser.add_option("timeout-s", "0",
                     "per-point wall-clock deadline in seconds (0 = none)");
   parser.add_option("retries", "0",
-                    "supervisor retries per point (escalating solver "
-                    "tolerances where the backend allows)");
+                    "supervisor retries per point, run back to back "
+                    "(each escalates solver tolerances where the backend "
+                    "allows)");
   parser.add_flag("isolate",
                   "run each computed point in a forked worker subprocess "
                   "(crashes are contained and retried, not fatal)");
@@ -367,7 +368,7 @@ void robust_options_from_cli(const util::ArgParser& parser,
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
   robust->timeout_s = timeout_s;
-  robust->retry.retries = parser.get_count("retries", 0);
+  robust->retries = parser.get_count("retries", 0);
   robust->isolate = parser.get_flag("isolate");
   // Fail at parse time, not per point: containment was explicitly asked
   // for, so a platform that cannot provide it must refuse, not degrade.
@@ -553,15 +554,11 @@ int cmd_reproduce(int argc, const char* const* argv) {
   const long long jobs = parser.get_int("jobs");
   require(jobs >= 0, "--jobs must be >= 0");
   obs::MetricsRegistry metrics;
-  sweep::ReproduceOptions options;
+  sweep::SweepOptions options;
   options.cache_dir = parser.get("cache-dir");
   options.jobs = static_cast<std::size_t>(jobs);
   options.metrics = &metrics;
-  robust::SupervisorOptions robust;
-  robust_options_from_cli(parser, &robust, &options.resume);
-  options.timeout_s = robust.timeout_s;
-  options.retries = robust.retry.retries;
-  options.isolate = robust.isolate;
+  robust_options_from_cli(parser, &options.robust, &options.resume);
 
   const std::string figure = util::to_lower(parser.get("figure"));
   std::vector<const sweep::FigureSpec*> specs;
@@ -672,8 +669,9 @@ int cmd_serve(int argc, const char* const* argv) {
   parser.add_option("timeout-s", "0",
                     "per-evaluation wall-clock deadline (0 = none)");
   parser.add_option("retries", "0",
-                    "supervisor retries per evaluation (escalating solver "
-                    "tolerances where the backend allows)");
+                    "supervisor retries per evaluation, run back to back "
+                    "(each escalates solver tolerances where the backend "
+                    "allows)");
   parser.add_flag("isolate",
                   "run each evaluation in a forked worker subprocess "
                   "(a crashing request is contained, not fatal)");
@@ -690,7 +688,7 @@ int cmd_serve(int argc, const char* const* argv) {
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
   options.robust.timeout_s = timeout_s;
-  options.robust.retry.retries = parser.get_count("retries", 0);
+  options.robust.retries = parser.get_count("retries", 0);
   options.robust.isolate = parser.get_flag("isolate");
   require(!options.robust.isolate || robust::isolation_supported(),
           "--isolate requires fork(), which this platform lacks");

@@ -2,12 +2,11 @@
 //
 // A deterministic solver that failed once will fail identically on a
 // blind retry — retrying only helps transient failures (crashes,
-// timeouts from machine load). For solver failures and non-finite
-// results the useful lever is the solver configuration itself, so the
-// supervisor exposes the attempt number and this hook maps it onto the
-// ScenarioSpec: each retry climbs one rung of a ladder that tightens the
-// ODE tolerances and raises the step budget in spec.solver, which
-// fluid-transient integrates with.
+// timeouts from machine load). For solver failures the useful lever is
+// the solver configuration itself, so the supervisor exposes the attempt
+// number and this hook maps it onto the ScenarioSpec: each retry climbs
+// one rung of a ladder that tightens the ODE tolerances and raises the
+// step budget in spec.solver, which fluid-transient integrates with.
 //
 // Determinism note: escalated specs produce *different* (better) numbers
 // than the base spec would. The sweep engine therefore only uses this

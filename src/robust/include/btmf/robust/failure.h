@@ -23,7 +23,6 @@ enum class FailureKind {
   kError,         ///< evaluation threw (solver divergence, ...); retryable
   kTimeout,       ///< wall-clock deadline exceeded; retryable
   kCrash,         ///< worker subprocess died on a signal; retryable
-  kNonFinite,     ///< the result contained NaN/Inf; retryable
   kUnsupported,   ///< typed capability/configuration refusal; permanent
   kCacheCorrupt,  ///< cache entry failed verification and was quarantined
 };
@@ -38,7 +37,7 @@ enum class FailureKind {
 /// Whether another attempt could plausibly succeed. Deterministic misuse
 /// (kUnsupported) never benefits from a retry; everything transient —
 /// timeouts, crashes, solver failures (an escalation hook may tighten
-/// tolerances), non-finite results — does.
+/// tolerances) — does.
 [[nodiscard]] bool retryable(FailureKind kind);
 
 /// One supervised computation's payload: named doubles. Mirrors
@@ -53,18 +52,17 @@ struct Failure {
   [[nodiscard]] bool ok() const { return kind == FailureKind::kNone; }
 };
 
-/// Thrown by cooperative cancellation points (CancelToken::checkpoint)
-/// when the watchdog has expired an attempt's deadline; the supervisor
-/// maps it to kTimeout.
-class CancelledError : public Error {
- public:
-  explicit CancelledError(const std::string& what) : Error(what) {}
+/// What one attempt produced, in either supervision mode: the in-process
+/// watchdog (watchdog.h) and the forked worker (isolate.h).
+struct Attempt {
+  Failure failure;  ///< kNone on success
+  Values values;    ///< the payload when failure.ok()
 };
 
 /// Maps the in-flight exception to a Failure. Call from inside a catch
-/// block (or any context where `throw;` rethrows): CancelledError ->
-/// kTimeout, ConfigError -> kUnsupported (bad inputs stay bad on retry),
-/// any other btmf::Error or std::exception -> kError.
+/// block (or any context where `throw;` rethrows): ConfigError ->
+/// kUnsupported (bad inputs stay bad on retry), any other btmf::Error or
+/// std::exception -> kError.
 [[nodiscard]] Failure classify_active_exception();
 
 /// One-line escaping for messages embedded in line-oriented formats (the

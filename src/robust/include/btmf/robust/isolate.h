@@ -5,7 +5,8 @@
 // in the child, and streams the result back over a pipe in the same
 // line-oriented escaped format the checkpoint journal uses. The parent
 // polls the pipe against the deadline; on expiry the child is SIGKILLed —
-// this is *hard* preemption, unlike the cooperative in-process watchdog.
+// *hard* preemption, where the in-process watchdog can only abandon its
+// worker thread (both report kTimeout at the deadline).
 // A child that dies on a signal (WIFSIGNALED) is reported as kCrash with
 // the signal name; crashes are contained, reported, and retryable instead
 // of fatal to the sweep.
@@ -35,11 +36,6 @@
 
 namespace btmf::robust {
 
-struct IsolatedOutcome {
-  Failure failure;   ///< kNone, or kCrash / kTimeout / kError / ...
-  Values values;     ///< the payload when failure.ok()
-};
-
 /// Whether fork-based isolation works on this platform/build.
 [[nodiscard]] bool isolation_supported();
 
@@ -49,7 +45,7 @@ struct IsolatedOutcome {
 /// otherwise the child's own classified failure or its values.
 /// Throws btmf::IoError only for parent-side plumbing failures (pipe or
 /// fork exhaustion), never for child misbehaviour.
-[[nodiscard]] IsolatedOutcome run_isolated(const std::function<Values()>& fn,
-                                           double timeout_s);
+[[nodiscard]] Attempt run_isolated(const std::function<Values()>& fn,
+                                   double timeout_s);
 
 }  // namespace btmf::robust

@@ -1,12 +1,12 @@
 // The supervisor: deadline + isolation + retry around one computation.
 //
-// supervise() is the single entry point the sweep engine (and any future
-// daemon) uses per task: it runs the attempt under the configured watchdog
-// or in a forked worker, classifies what went wrong, consults the retry
-// policy, sleeps the deterministic backoff, and invokes the escalation
-// hook so later attempts can tighten solver tolerances. Results are NEVER
-// a function of timing: the same task with the same options either
-// succeeds with identical values or fails with the same kind.
+// supervise() is the single entry point the sweep engine and the serve
+// daemon use per task: it runs the attempt inline, under the watchdog or
+// in a forked worker, classifies what went wrong, and retries the
+// retryable at once, handing each attempt its number so the task can
+// escalate (robust::escalate_spec tightens solver tolerances). Results
+// are NEVER a function of timing: the same task with the same options
+// either succeeds with identical values or fails with the same kind.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "btmf/robust/failure.h"
-#include "btmf/robust/retry.h"
 
 namespace btmf::obs {
 class MetricsRegistry;
@@ -23,42 +22,28 @@ class MetricsRegistry;
 namespace btmf::robust {
 
 struct SupervisorOptions {
-  /// Per-attempt wall-clock deadline in seconds; <= 0 disables it. With
-  /// isolate the child is SIGKILLed at the deadline (hard preemption);
-  /// in-process the cooperative watchdog cancels and, failing that,
-  /// abandons the worker thread.
+  /// Per-attempt wall-clock deadline in seconds; <= 0 disables it. An
+  /// attempt still running at the deadline is kTimeout in both modes:
+  /// with isolate the child is SIGKILLed (hard preemption), in-process
+  /// the worker thread is abandoned to finish on its own.
   double timeout_s = 0.0;
-  /// Grace period after an in-process cancellation before abandonment.
-  double grace_s = 1.0;
   /// Run every attempt in a forked worker subprocess (--isolate): crashes
   /// are contained and reported as kCrash instead of killing the sweep.
   /// On platforms without fork() an isolate request fails typed as
   /// kUnsupported — never a silent fallback to the in-process watchdog.
   bool isolate = false;
-  RetryPolicy retry{};
-  /// Scale factor on backoff sleeps; tests set 0 to make retries instant.
-  /// Affects wall-clock only, never results.
-  double backoff_scale = 1.0;
-  /// Reject results containing NaN/Inf as kNonFinite (retryable: the
-  /// escalation hook may tighten tolerances enough to recover). Off by
-  /// default: some models legitimately report infinities (e.g. a download
-  /// time at an instability boundary), so rejecting is an opt-in policy.
-  bool reject_non_finite = false;
+  /// Attempts after the first (0 = never retry), run back to back.
+  unsigned retries = 0;
 
   /// Optional metrics sink (non-owning; nullptr = inert): increments
   /// robust.retries / robust.timeouts / robust.crashes.
   obs::MetricsRegistry* metrics = nullptr;
-
-  [[nodiscard]] bool active() const {
-    return timeout_s > 0.0 || isolate || retry.retries > 0 ||
-           reject_non_finite;
-  }
 };
 
 /// Identity + attempt number handed to the task so the compute function
 /// can escalate (tighter tolerances, alternate strategy) on retries.
 struct TaskContext {
-  std::uint64_t key = 0;   ///< stable task identity (for jitter + logs)
+  std::uint64_t key = 0;   ///< stable task identity
   unsigned attempt = 0;    ///< 0 = first try, 1 = first retry, ...
 };
 
@@ -67,7 +52,7 @@ struct TaskContext {
 /// process-lifetime objects. An isolated attempt runs it in a forked
 /// child, and a watchdogged attempt runs a *copy* on a worker thread that,
 /// if abandoned, outlives every caller frame; references to caller locals
-/// become use-after-free the moment a deadline is ignored.
+/// become use-after-free the moment a deadline passes.
 using Task = std::function<Values(const TaskContext&)>;
 
 struct SuperviseOutcome {
@@ -81,9 +66,9 @@ struct SuperviseOutcome {
 };
 
 /// Runs `task` under `options`. Retries everything retryable() up to
-/// retry.retries times with exponential backoff; permanent failures
-/// (kUnsupported) return immediately. When options.active() is false this
-/// is a zero-overhead inline call with exception classification only.
+/// options.retries times, at once; permanent failures (kUnsupported)
+/// return immediately. With the default options this is a zero-overhead
+/// inline call with exception classification only.
 [[nodiscard]] SuperviseOutcome supervise(const Task& task,
                                          const SupervisorOptions& options,
                                          std::uint64_t key);

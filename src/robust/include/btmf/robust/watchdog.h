@@ -1,87 +1,37 @@
 // Wall-clock deadline enforcement for in-process evaluations.
 //
-// C++ offers no safe way to preempt a running thread, so the in-process
-// watchdog is *cooperative*: the supervised function runs on a worker
-// thread holding a CancelToken; a monitor wakes at the deadline, trips the
-// token, and long-running solvers that call CancelToken::checkpoint() (or
-// poll cancelled()) unwind with CancelledError. A function that never
-// checks the token cannot be stopped — after a grace period the worker
-// thread is detached and the attempt reported as timed out + abandoned
-// (the thread keeps burning a core until it returns; its result is
-// discarded). Hard preemption needs a process boundary: that is what
-// isolate.h provides, and why --isolate exists. See docs/ROBUSTNESS.md.
+// C++ offers no safe way to preempt a running thread, and no library loop
+// polls for cancellation, so the in-process watchdog does not try to stop
+// anything: the supervised function runs on a worker thread, and when the
+// deadline passes first the worker is detached and the attempt reported as
+// kTimeout at once — the rule run_isolated (isolate.h) applies with
+// SIGKILL, so both modes give the same answer for the same overrun. The
+// detached thread keeps burning a core until the function returns; its
+// result is discarded. Hard preemption needs a process boundary: that is
+// what isolate.h provides, and why --isolate exists. See
+// docs/ROBUSTNESS.md.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <memory>
-#include <string>
 
 #include "btmf/robust/failure.h"
 
 namespace btmf::robust {
 
-/// Shared cancellation flag. The supervised function receives it via the
-/// thread-local accessor below so deep call stacks (ODE loops, the event
-/// kernel) can poll without plumbing a parameter through every layer.
-class CancelToken {
- public:
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-  /// Throws CancelledError when cancelled; cheap enough for inner loops.
-  void checkpoint(const char* where) const;
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// The token of the innermost run_with_deadline on this thread, or nullptr
-/// outside one. Library code that wants to be deadline-aware calls
-/// `if (auto* t = active_cancel_token()) t->checkpoint("ode.step");`.
-[[nodiscard]] CancelToken* active_cancel_token();
-
-/// Installs `token` as this thread's active token for the lifetime of the
-/// guard (restores the previous one on destruction). run_with_deadline
-/// does this on its worker thread; tests and custom runners can too.
-class ScopedCancelToken {
- public:
-  explicit ScopedCancelToken(CancelToken* token);
-  ~ScopedCancelToken();
-  ScopedCancelToken(const ScopedCancelToken&) = delete;
-  ScopedCancelToken& operator=(const ScopedCancelToken&) = delete;
-
- private:
-  CancelToken* previous_;
-};
-
-struct WatchdogResult {
-  Failure failure;      ///< kNone on success, kTimeout/kError/... otherwise
-  Values values;        ///< the payload when failure.ok()
-  /// True when the deadline passed AND the worker ignored cancellation for
-  /// the whole grace period, so its thread was detached. The process keeps
-  /// the runaway thread until the function eventually returns.
-  bool abandoned = false;
-};
-
 /// Runs `fn` with a wall-clock deadline. timeout_s <= 0 disables the
 /// watchdog entirely: `fn` runs inline on the calling thread (no worker
-/// thread, no token — zero overhead, identical to unsupervised code).
-/// With a deadline, `fn` runs on a worker thread with a CancelToken
-/// installed; on expiry the token is cancelled and the worker given
-/// `grace_s` to unwind before being abandoned. Exceptions from `fn` are
-/// classified via classify_active_exception().
+/// thread — zero overhead, identical to unsupervised code). With a
+/// deadline, `fn` runs on a worker thread; if it has not returned by the
+/// deadline the worker is abandoned and the attempt is kTimeout.
+/// Exceptions from `fn` are classified via classify_active_exception().
 ///
 /// OWNERSHIP: with a deadline, `fn` must be self-contained — capture by
 /// value, or reference only process-lifetime objects. The worker runs a
 /// *copy* of `fn`, and an abandoned worker keeps executing that copy
 /// after run_with_deadline (and the caller's whole frame, transitively)
 /// has returned; a closure holding references to caller locals is a
-/// use-after-free in exactly the uncooperative-timeout scenario the
-/// watchdog exists for.
-[[nodiscard]] WatchdogResult run_with_deadline(
-    const std::function<Values()>& fn, double timeout_s,
-    double grace_s = 1.0);
+/// use-after-free in exactly the overrun the watchdog exists for.
+[[nodiscard]] Attempt run_with_deadline(const std::function<Values()>& fn,
+                                        double timeout_s);
 
 }  // namespace btmf::robust

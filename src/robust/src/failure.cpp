@@ -10,7 +10,6 @@ const char* to_string(FailureKind kind) {
     case FailureKind::kError: return "error";
     case FailureKind::kTimeout: return "timeout";
     case FailureKind::kCrash: return "crash";
-    case FailureKind::kNonFinite: return "non-finite";
     case FailureKind::kUnsupported: return "unsupported";
     case FailureKind::kCacheCorrupt: return "cache-corrupt";
   }
@@ -20,7 +19,7 @@ const char* to_string(FailureKind kind) {
 FailureKind failure_kind_from_string(std::string_view token) {
   for (FailureKind kind : {FailureKind::kNone, FailureKind::kError,
                            FailureKind::kTimeout, FailureKind::kCrash,
-                           FailureKind::kNonFinite, FailureKind::kUnsupported,
+                           FailureKind::kUnsupported,
                            FailureKind::kCacheCorrupt}) {
     if (token == to_string(kind)) return kind;
   }
@@ -32,7 +31,6 @@ bool retryable(FailureKind kind) {
     case FailureKind::kError:
     case FailureKind::kTimeout:
     case FailureKind::kCrash:
-    case FailureKind::kNonFinite:
     case FailureKind::kCacheCorrupt:
       return true;
     case FailureKind::kNone:
@@ -45,8 +43,6 @@ bool retryable(FailureKind kind) {
 Failure classify_active_exception() {
   try {
     throw;
-  } catch (const CancelledError& e) {
-    return {FailureKind::kTimeout, e.what()};
   } catch (const ConfigError& e) {
     return {FailureKind::kUnsupported, e.what()};
   } catch (const std::exception& e) {

@@ -110,7 +110,7 @@ bool read_until_eof(int fd, double timeout_s, std::string* out) {
 
 /// Parses the child's report. Returns false when it is incomplete or
 /// malformed (the caller reports kCrash).
-bool parse_report(const std::string& report, IsolatedOutcome* outcome) {
+bool parse_report(const std::string& report, Attempt* outcome) {
   const std::vector<std::string> lines = util::split(report, '\n');
   bool saw_header = false;
   bool saw_end = false;
@@ -171,8 +171,8 @@ void reap(pid_t pid, int* status) {
 
 bool isolation_supported() { return true; }
 
-IsolatedOutcome run_isolated(const std::function<Values()>& fn,
-                             double timeout_s) {
+Attempt run_isolated(const std::function<Values()>& fn,
+                     double timeout_s) {
   // pipe() -> fork() -> close(write end) is one critical section: if two
   // pool threads interleave here, thread A's child inherits — and holds
   // open for its whole evaluation — thread B's pipe write end, so B's
@@ -203,7 +203,7 @@ IsolatedOutcome run_isolated(const std::function<Values()>& fn,
     ::close(fds[1]);
   }
 
-  IsolatedOutcome outcome;
+  Attempt outcome;
   std::string report;
   bool timed_out = false;
   try {
@@ -255,8 +255,8 @@ IsolatedOutcome run_isolated(const std::function<Values()>& fn,
 
 bool isolation_supported() { return false; }
 
-IsolatedOutcome run_isolated(const std::function<Values()>&, double) {
-  IsolatedOutcome outcome;
+Attempt run_isolated(const std::function<Values()>&, double) {
+  Attempt outcome;
   outcome.failure = {FailureKind::kUnsupported,
                      "crash isolation requires fork(); unavailable on this "
                      "platform"};

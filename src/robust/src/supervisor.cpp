@@ -1,9 +1,5 @@
 #include "btmf/robust/supervisor.h"
 
-#include <chrono>
-#include <cmath>
-#include <thread>
-
 #include "btmf/obs/metrics.h"
 #include "btmf/robust/isolate.h"
 #include "btmf/robust/watchdog.h"
@@ -11,43 +7,24 @@
 namespace btmf::robust {
 namespace {
 
-[[nodiscard]] bool all_finite(const Values& values) {
-  for (const auto& [name, value] : values) {
-    if (!std::isfinite(value)) return false;
-  }
-  return true;
-}
-
 /// One attempt: inline, watchdogged, or isolated, per the options.
-IsolatedOutcome run_attempt(const Task& task, const TaskContext& context,
-                            const SupervisorOptions& options) {
-  IsolatedOutcome outcome;
+Attempt run_attempt(const Task& task, const TaskContext& context,
+                    const SupervisorOptions& options) {
   if (options.isolate) {
     // Always route an isolate request through run_isolated: on a platform
     // without fork() it returns a typed kUnsupported failure instead of
     // silently degrading to the in-process watchdog the user explicitly
     // asked to avoid. The child shares this address space, so capturing
     // the task by reference is safe here.
-    outcome = run_isolated([&task, context] { return task(context); },
+    return run_isolated([&task, context] { return task(context); },
+                        options.timeout_s);
+  }
+  // The watchdog worker can be abandoned (detached) and outlive every
+  // caller frame, so the closure it runs must own the Task by value — a
+  // runaway thread then executes a private copy of the whole task chain,
+  // never freed caller memory.
+  return run_with_deadline([task, context] { return task(context); },
                            options.timeout_s);
-  } else {
-    // The watchdog worker can be abandoned (detached) and outlive every
-    // caller frame, so the closure it runs must own the Task by value —
-    // a runaway thread then executes a private copy of the whole task
-    // chain, never freed caller memory.
-    const WatchdogResult watched =
-        run_with_deadline([task, context] { return task(context); },
-                          options.timeout_s, options.grace_s);
-    outcome.failure = watched.failure;
-    outcome.values = watched.values;
-  }
-  if (outcome.failure.ok() && options.reject_non_finite &&
-      !all_finite(outcome.values)) {
-    outcome.values.clear();
-    outcome.failure = {FailureKind::kNonFinite,
-                       "result contains non-finite values"};
-  }
-  return outcome;
 }
 
 }  // namespace
@@ -64,20 +41,12 @@ SuperviseOutcome supervise(const Task& task, const SupervisorOptions& options,
     crashes_id = options.metrics->counter("robust.crashes");
   }
 
-  const unsigned max_attempts = options.retry.retries + 1;
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      if (options.metrics != nullptr) options.metrics->add(retries_id);
-      const double delay =
-          backoff_delay_s(options.retry, key, attempt) *
-          options.backoff_scale;
-      if (delay > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      }
+  for (unsigned attempt = 0;; ++attempt) {
+    if (attempt > 0 && options.metrics != nullptr) {
+      options.metrics->add(retries_id);
     }
     ++result.attempts;
-    const TaskContext context{key, attempt};
-    const IsolatedOutcome outcome = run_attempt(task, context, options);
+    Attempt outcome = run_attempt(task, {key, attempt}, options);
     if (outcome.failure.kind == FailureKind::kTimeout) {
       ++result.timeouts;
       if (options.metrics != nullptr) options.metrics->add(timeouts_id);
@@ -85,15 +54,15 @@ SuperviseOutcome supervise(const Task& task, const SupervisorOptions& options,
       ++result.crashes;
       if (options.metrics != nullptr) options.metrics->add(crashes_id);
     }
-    if (outcome.failure.ok()) {
-      result.failure = {};
-      result.values = outcome.values;
+    result.failure = std::move(outcome.failure);
+    if (result.failure.ok()) {
+      result.values = std::move(outcome.values);
       return result;
     }
-    result.failure = outcome.failure;
-    if (!retryable(outcome.failure.kind)) return result;
+    if (!retryable(result.failure.kind) || attempt == options.retries) {
+      return result;
+    }
   }
-  return result;
 }
 
 }  // namespace btmf::robust

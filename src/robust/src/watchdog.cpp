@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -10,8 +11,6 @@
 namespace btmf::robust {
 namespace {
 
-thread_local CancelToken* t_active_token = nullptr;
-
 /// State shared between the caller and the worker thread. Heap-allocated
 /// and shared_ptr-owned so an abandoned (detached) worker can still write
 /// its result and destroy the state safely after the caller has given up.
@@ -19,57 +18,35 @@ struct SharedRun {
   std::mutex mutex;
   std::condition_variable done_cv;
   bool done = false;
-  CancelToken token;
-  Failure failure;
-  Values values;
+  Attempt attempt;
 };
+
+/// Runs `fn` on the calling thread, classifying what it throws.
+Attempt run_inline(const std::function<Values()>& fn) {
+  Attempt attempt;
+  try {
+    attempt.values = fn();
+  } catch (...) {
+    attempt.failure = classify_active_exception();
+  }
+  return attempt;
+}
 
 }  // namespace
 
-void CancelToken::checkpoint(const char* where) const {
-  if (cancelled()) {
-    throw CancelledError(std::string("cancelled at ") + where);
-  }
-}
-
-CancelToken* active_cancel_token() { return t_active_token; }
-
-ScopedCancelToken::ScopedCancelToken(CancelToken* token)
-    : previous_(t_active_token) {
-  t_active_token = token;
-}
-
-ScopedCancelToken::~ScopedCancelToken() { t_active_token = previous_; }
-
-WatchdogResult run_with_deadline(const std::function<Values()>& fn,
-                                 double timeout_s, double grace_s) {
-  WatchdogResult result;
-  if (timeout_s <= 0.0) {
-    // No deadline: run inline, bit-for-bit the unsupervised path.
-    try {
-      result.values = fn();
-    } catch (...) {
-      result.failure = classify_active_exception();
-    }
-    return result;
-  }
+Attempt run_with_deadline(const std::function<Values()>& fn,
+                          double timeout_s) {
+  // No deadline: run inline, bit-for-bit the unsupervised path.
+  if (timeout_s <= 0.0) return run_inline(fn);
 
   auto state = std::make_shared<SharedRun>();
   // The worker owns a copy of `fn`. Together with the header's ownership
   // contract (self-contained closures all the way down the task chain),
   // this means an abandoned worker only ever touches memory it owns.
   std::thread worker([state, fn] {
-    Failure failure;
-    Values values;
-    try {
-      ScopedCancelToken scope(&state->token);
-      values = fn();
-    } catch (...) {
-      failure = classify_active_exception();
-    }
+    Attempt attempt = run_inline(fn);
     std::lock_guard<std::mutex> lock(state->mutex);
-    state->failure = std::move(failure);
-    state->values = std::move(values);
+    state->attempt = std::move(attempt);
     state->done = true;
     state->done_cv.notify_all();
   });
@@ -79,41 +56,19 @@ WatchdogResult run_with_deadline(const std::function<Values()>& fn,
   std::unique_lock<std::mutex> lock(state->mutex);
   if (!state->done_cv.wait_until(lock, deadline,
                                  [&] { return state->done; })) {
-    // Deadline passed: trip the token and give the worker a grace period
-    // to reach a cancellation checkpoint and unwind.
-    state->token.cancel();
-    const auto grace_end = std::chrono::steady_clock::now() +
-                           std::chrono::duration<double>(grace_s);
-    if (!state->done_cv.wait_until(lock, grace_end,
-                                   [&] { return state->done; })) {
-      // The worker ignored cancellation. Abandon it: the detached thread
-      // owns a shared_ptr to `state` (captured by value) so its eventual
-      // writes land on live memory, but its result is discarded.
-      lock.unlock();
-      worker.detach();
-      result.failure = {FailureKind::kTimeout,
-                        "evaluation exceeded " +
-                            util::format_double(timeout_s) +
-                            "s deadline and ignored cancellation "
-                            "(abandoned)"};
-      result.abandoned = true;
-      return result;
-    }
+    // Deadline passed: abandon the worker. The detached thread owns a
+    // shared_ptr to `state` (captured by value) so its eventual writes
+    // land on live memory, but its result is discarded.
+    lock.unlock();
+    worker.detach();
+    return {{FailureKind::kTimeout,
+             "evaluation exceeded " + util::format_double(timeout_s) +
+                 "s deadline (abandoned)"},
+            {}};
   }
   lock.unlock();
   worker.join();
-
-  if (state->failure.ok()) {
-    result.values = std::move(state->values);
-  } else if (state->failure.kind == FailureKind::kTimeout) {
-    result.failure = {FailureKind::kTimeout,
-                      "evaluation exceeded " +
-                          util::format_double(timeout_s) + "s deadline (" +
-                          state->failure.message + ")"};
-  } else {
-    result.failure = std::move(state->failure);
-  }
-  return result;
+  return std::move(state->attempt);
 }
 
 }  // namespace btmf::robust

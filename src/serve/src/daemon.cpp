@@ -348,14 +348,14 @@ struct Daemon::Impl {
   /// publish-to-all-waiters. Never throws.
   void compute(const std::string& backend, const model::ScenarioSpec& spec,
                const std::string& key, std::shared_ptr<Pending> pending) {
-    const EvalFn eval = options_.eval;
-    const robust::Task task =
-        [&eval, &backend, &spec](const robust::TaskContext& ctx) {
-          const model::ScenarioSpec attempt =
-              ctx.attempt > 0 ? robust::escalate_spec(spec, ctx.attempt)
-                              : spec;
-          return eval(backend, attempt);
-        };
+    // The task owns its EvalFn, backend and spec: an attempt that
+    // overruns its deadline is abandoned and outlives this frame.
+    const robust::Task task = [eval = options_.eval, backend,
+                               spec](const robust::TaskContext& ctx) {
+      const model::ScenarioSpec attempt =
+          ctx.attempt > 0 ? robust::escalate_spec(spec, ctx.attempt) : spec;
+      return eval(backend, attempt);
+    };
     robust::SuperviseOutcome outcome =
         robust::supervise(task, options_.robust, sweep::fnv1a64(key));
     if (outcome.ok()) {

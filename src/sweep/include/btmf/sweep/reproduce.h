@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "btmf/obs/metrics.h"
 #include "btmf/sweep/sweep.h"
 #include "btmf/util/table.h"
 
@@ -81,25 +80,11 @@ struct FigureReport {
   }
 };
 
-struct ReproduceOptions {
-  std::string cache_dir;  ///< empty = uncached
-  std::size_t jobs = 0;   ///< cap on sweep workers; 0 = no cap
-  obs::MetricsRegistry* metrics = nullptr;
-  // --- execution supervision (forwarded to SweepOptions::robust) --------
-  // None of these may change the *numbers*: deadlines/retries/isolation
-  // decide whether a point computes, never what it computes, and a
-  // resumed run is bit-identical to an uninterrupted one.
-  double timeout_s = 0.0;  ///< per-point deadline; 0 = none
-  unsigned retries = 0;    ///< supervisor retries per point
-  bool isolate = false;    ///< forked crash-isolated workers
-  bool resume = false;     ///< replay journaled failures after a crash
-};
-
 struct FigureSpec {
   std::string name;
   std::string title;
   std::string paper_ref;
-  FigureReport (*run)(const ReproduceOptions& options);
+  FigureReport (*run)(const SweepOptions& options);
 };
 
 /// All registered figures, in paper order: fig2, fig3, fig4a, fig4bc,

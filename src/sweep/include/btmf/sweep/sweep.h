@@ -78,12 +78,12 @@ struct SweepOptions {
   std::size_t jobs = 0;
   /// Optional progress/metrics sink (non-owning): sweep.points_total,
   /// sweep.points_done, sweep.cache_hits, sweep.cache_misses,
-  /// sweep.failures, the sweep.point_seconds histogram, and — when the
-  /// supervisor is active — robust.retries / robust.timeouts /
-  /// robust.crashes / robust.quarantined.
+  /// sweep.failures, the sweep.point_seconds histogram, and the
+  /// supervisor's robust.retries / robust.timeouts / robust.crashes /
+  /// robust.quarantined.
   obs::MetricsRegistry* metrics = nullptr;
   /// Execution supervision for computed points: per-point deadline,
-  /// retry policy, crash isolation. Inert by default.
+  /// retries, crash isolation. Inert by default.
   robust::SupervisorOptions robust{};
   /// Replay journaled failures from an interrupted earlier run instead
   /// of recomputing them (successes always resume via the cache). Only

@@ -49,18 +49,6 @@ Claim make_claim(std::string id, std::string description, Relation relation,
   return claim;
 }
 
-SweepOptions engine_options(const ReproduceOptions& options) {
-  SweepOptions out;
-  out.cache_dir = options.cache_dir;
-  out.jobs = options.jobs;
-  out.metrics = options.metrics;
-  out.robust.timeout_s = options.timeout_s;
-  out.robust.retry.retries = options.retries;
-  out.robust.isolate = options.isolate;
-  out.resume = options.resume;
-  return out;
-}
-
 /// Every figure keys its disk cache on (backend name, canonical spec
 /// fingerprint) — the one fingerprint scheme of the whole repository
 /// (see docs/SWEEP.md). Grid-axis values are hashed separately per point.
@@ -131,7 +119,7 @@ SweepSpec fig2_spec() {
   return spec;
 }
 
-FigureReport run_fig2(const ReproduceOptions& options) {
+FigureReport run_fig2(const SweepOptions& options) {
   FigureReport report;
   report.name = "fig2";
   report.title = "MTCD vs MTSD: average online time per file vs p";
@@ -143,7 +131,7 @@ FigureReport run_fig2(const ReproduceOptions& options) {
       "stretches per-file completion times, so peers linger.";
 
   const SweepSpec spec = fig2_spec();
-  const SweepResult sweep = run_sweep(spec, engine_options(options));
+  const SweepResult sweep = run_sweep(spec, options);
   report.stats.absorb(sweep);
   report.claims.push_back(
       completeness_claim("fig2", sweep.failures, sweep.num_points()));
@@ -226,7 +214,7 @@ SweepSpec fig3_spec() {
   return spec;
 }
 
-FigureReport run_fig3(const ReproduceOptions& options) {
+FigureReport run_fig3(const SweepOptions& options) {
   const model::ScenarioSpec base;
   FigureReport report;
   report.name = "fig3";
@@ -240,7 +228,7 @@ FigureReport run_fig3(const ReproduceOptions& options) {
       "online, 60 download per file).";
 
   const SweepSpec spec = fig3_spec();
-  const SweepResult sweep = run_sweep(spec, engine_options(options));
+  const SweepResult sweep = run_sweep(spec, options);
   report.stats.absorb(sweep);
   report.claims.push_back(
       completeness_claim("fig3", sweep.failures, sweep.num_points()));
@@ -344,7 +332,7 @@ SweepSpec fig4a_spec() {
   return spec;
 }
 
-FigureReport run_fig4a(const ReproduceOptions& options) {
+FigureReport run_fig4a(const SweepOptions& options) {
   const model::ScenarioSpec base;
   FigureReport report;
   report.name = "fig4a";
@@ -358,7 +346,7 @@ FigureReport run_fig4a(const ReproduceOptions& options) {
       "grows (about 27% at p = 0.1, 47% at p = 1).";
 
   const SweepSpec spec = fig4a_spec();
-  const SweepResult sweep = run_sweep(spec, engine_options(options));
+  const SweepResult sweep = run_sweep(spec, options);
   report.stats.absorb(sweep);
   report.claims.push_back(
       completeness_claim("fig4a", sweep.failures, sweep.num_points()));
@@ -480,7 +468,7 @@ SweepSpec fig4bc_spec() {
   return spec;
 }
 
-FigureReport run_fig4bc(const ReproduceOptions& options) {
+FigureReport run_fig4bc(const SweepOptions& options) {
   const model::ScenarioSpec base;
   const unsigned k = base.num_files;
   FigureReport report;
@@ -494,7 +482,7 @@ FigureReport run_fig4bc(const ReproduceOptions& options) {
       "(single-file users finish a file fastest), most visibly at low p.";
 
   const SweepSpec spec = fig4bc_spec();
-  const SweepResult sweep = run_sweep(spec, engine_options(options));
+  const SweepResult sweep = run_sweep(spec, options);
   report.stats.absorb(sweep);
   report.claims.push_back(
       completeness_claim("fig4bc", sweep.failures, sweep.num_points()));
@@ -650,7 +638,7 @@ SweepSpec adapt_spec(bool adapt_enabled) {
   return spec;
 }
 
-FigureReport run_adapt(const ReproduceOptions& options) {
+FigureReport run_adapt(const SweepOptions& options) {
   FigureReport report;
   report.name = "adapt";
   report.title = "Adapt: generous without cheaters, protective with them";
@@ -667,8 +655,8 @@ FigureReport run_adapt(const ReproduceOptions& options) {
 
   const SweepSpec on_spec = adapt_spec(true);
   const SweepSpec off_spec = adapt_spec(false);
-  const SweepResult on = run_sweep(on_spec, engine_options(options));
-  const SweepResult off = run_sweep(off_spec, engine_options(options));
+  const SweepResult on = run_sweep(on_spec, options);
+  const SweepResult off = run_sweep(off_spec, options);
   report.stats.absorb(on);
   report.stats.absorb(off);
   report.claims.push_back(completeness_claim(

@@ -219,9 +219,9 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     } else {
       util::Stopwatch point_timer;
       // The task owns everything it touches (point and compute functions
-      // by value): a watchdog worker that ignores cancellation is detached
-      // and can outlive this frame — and run_sweep itself — so it must
-      // never hold references into `spec` or `outcome`.
+      // by value): a watchdog worker that overruns its deadline is
+      // detached and can outlive this frame — and run_sweep itself — so it
+      // must never hold references into `spec` or `outcome`.
       const robust::Task task =
           [point = outcome.point, compute = spec.compute,
            compute_retry =

@@ -14,8 +14,8 @@ namespace {
 TEST(RobustFailureTest, KindStringsRoundTrip) {
   for (const FailureKind kind :
        {FailureKind::kNone, FailureKind::kError, FailureKind::kTimeout,
-        FailureKind::kCrash, FailureKind::kNonFinite,
-        FailureKind::kUnsupported, FailureKind::kCacheCorrupt}) {
+        FailureKind::kCrash, FailureKind::kUnsupported,
+        FailureKind::kCacheCorrupt}) {
     EXPECT_EQ(failure_kind_from_string(to_string(kind)), kind);
   }
   EXPECT_THROW((void)failure_kind_from_string("gremlins"), ConfigError);
@@ -27,7 +27,6 @@ TEST(RobustFailureTest, OnlyPermanentKindsAreNotRetryable) {
   EXPECT_TRUE(retryable(FailureKind::kError));
   EXPECT_TRUE(retryable(FailureKind::kTimeout));
   EXPECT_TRUE(retryable(FailureKind::kCrash));
-  EXPECT_TRUE(retryable(FailureKind::kNonFinite));
   EXPECT_TRUE(retryable(FailureKind::kCacheCorrupt));
 }
 
@@ -42,8 +41,6 @@ Failure classify(const std::function<void()>& thrower) {
 }
 
 TEST(RobustFailureTest, ClassifiesActiveExceptions) {
-  EXPECT_EQ(classify([] { throw CancelledError("deadline"); }).kind,
-            FailureKind::kTimeout);
   EXPECT_EQ(classify([] { throw ConfigError("bad knob"); }).kind,
             FailureKind::kUnsupported);
   EXPECT_EQ(classify([] { throw SolverError("diverged"); }).kind,

@@ -26,7 +26,7 @@ TEST(RobustIsolateTest, SupportedOnPosixHosts) {
 
 TEST(RobustIsolateTest, ValuesRoundTripBitExactThroughThePipe) {
   const double awkward = 1.0 / 3.0;  // non-terminating binary fraction
-  const IsolatedOutcome outcome = run_isolated(
+  const Attempt outcome = run_isolated(
       [awkward] {
         return Values{{"ratio", awkward}, {"neg", -0.0}, {"big", 1e308}};
       },
@@ -41,12 +41,12 @@ TEST(RobustIsolateTest, ValuesRoundTripBitExactThroughThePipe) {
 }
 
 TEST(RobustIsolateTest, ChildFailureKindsPassThrough) {
-  const IsolatedOutcome unsupported = run_isolated(
+  const Attempt unsupported = run_isolated(
       []() -> Values { throw ConfigError("needs p > 0"); }, 30.0);
   EXPECT_EQ(unsupported.failure.kind, FailureKind::kUnsupported);
   EXPECT_EQ(unsupported.failure.message, "needs p > 0");
 
-  const IsolatedOutcome error = run_isolated(
+  const Attempt error = run_isolated(
       []() -> Values { throw SolverError("multi\nline\ndiagnostic"); },
       30.0);
   EXPECT_EQ(error.failure.kind, FailureKind::kError);
@@ -54,7 +54,7 @@ TEST(RobustIsolateTest, ChildFailureKindsPassThrough) {
 }
 
 TEST(RobustIsolateTest, SignalDeathIsContainedAsCrash) {
-  const IsolatedOutcome outcome = run_isolated(
+  const Attempt outcome = run_isolated(
       []() -> Values {
         ::raise(SIGKILL);
         return {};
@@ -67,7 +67,7 @@ TEST(RobustIsolateTest, SignalDeathIsContainedAsCrash) {
 TEST(RobustIsolateTest, ExitWithoutAReportIsACrash) {
   // A child that dies after partial output (e.g. the allocator aborting
   // mid-write) must not be mistaken for success.
-  const IsolatedOutcome outcome = run_isolated(
+  const Attempt outcome = run_isolated(
       []() -> Values {
         ::_exit(0);  // vanish without completing the report
       },
@@ -77,10 +77,9 @@ TEST(RobustIsolateTest, ExitWithoutAReportIsACrash) {
 
 TEST(RobustIsolateTest, DeadlineSigkillsTheChild) {
   const auto start = std::chrono::steady_clock::now();
-  const IsolatedOutcome outcome = run_isolated(
+  const Attempt outcome = run_isolated(
       []() -> Values {
-        // Hard hang: no cancellation points, no cooperation — only the
-        // process boundary can stop this.
+        // Hard hang: only the process boundary can stop this.
         for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
       },
       /*timeout_s=*/0.2);

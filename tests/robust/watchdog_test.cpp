@@ -15,61 +15,36 @@ namespace btmf::robust {
 namespace {
 
 TEST(RobustWatchdogTest, NoDeadlineRunsInlineWithoutAToken) {
-  // timeout_s <= 0 must be the zero-overhead path: same thread, no token
-  // installed — indistinguishable from unsupervised code.
+  // timeout_s <= 0 must be the zero-overhead path: the calling thread,
+  // indistinguishable from unsupervised code.
   const auto caller = std::this_thread::get_id();
-  const WatchdogResult result = run_with_deadline(
+  const Attempt result = run_with_deadline(
       [&] {
         EXPECT_EQ(std::this_thread::get_id(), caller);
-        EXPECT_EQ(active_cancel_token(), nullptr);
         return Values{{"x", 1.5}};
       },
       0.0);
   ASSERT_TRUE(result.failure.ok());
-  EXPECT_FALSE(result.abandoned);
   EXPECT_DOUBLE_EQ(result.values.at("x"), 1.5);
 }
 
 TEST(RobustWatchdogTest, FastFunctionBeatsTheDeadline) {
-  const WatchdogResult result = run_with_deadline(
-      [] {
-        EXPECT_NE(active_cancel_token(), nullptr);
-        return Values{{"x", 2.0}, {"y", 0.1}};
-      },
-      30.0);
+  const Attempt result = run_with_deadline(
+      [] { return Values{{"x", 2.0}, {"y", 0.1}}; }, 30.0);
   ASSERT_TRUE(result.failure.ok());
-  EXPECT_FALSE(result.abandoned);
   EXPECT_DOUBLE_EQ(result.values.at("y"), 0.1);
 }
 
-TEST(RobustWatchdogTest, CooperativeWorkerUnwindsAsTimeout) {
-  const WatchdogResult result = run_with_deadline(
-      [] {
-        CancelToken* token = active_cancel_token();
-        EXPECT_NE(token, nullptr);
-        // A well-behaved solver loop: polls its cancellation point.
-        for (int i = 0; i < 10'000; ++i) {
-          token->checkpoint("test.loop");
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        return Values{{"never", 0.0}};
-      },
-      0.05, /*grace_s=*/5.0);
-  EXPECT_EQ(result.failure.kind, FailureKind::kTimeout);
-  EXPECT_FALSE(result.abandoned);
-  EXPECT_TRUE(result.values.empty());
-}
-
 TEST(RobustWatchdogTest, UncooperativeWorkerIsAbandoned) {
-  const WatchdogResult result = run_with_deadline(
+  const Attempt result = run_with_deadline(
       [] {
-        // Never looks at the token: cannot be stopped, only abandoned.
+        // Cannot be stopped, only abandoned at the deadline.
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
         return Values{{"late", 1.0}};
       },
-      0.05, /*grace_s=*/0.05);
+      0.05);
   EXPECT_EQ(result.failure.kind, FailureKind::kTimeout);
-  EXPECT_TRUE(result.abandoned);
+  EXPECT_TRUE(result.values.empty());
   // Let the runaway worker finish before the test binary exits so leak
   // checkers see a quiescent process.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -82,7 +57,7 @@ TEST(RobustWatchdogTest, AbandonedWorkerOwnsItsTaskChain) {
   // anywhere in the chain turns this test into a hard use-after-free.
   static std::atomic<bool> worker_done{false};
   worker_done = false;
-  WatchdogResult result;
+  Attempt result;
   {
     const std::string payload(1024, 'x');  // heap-backed caller local
     const std::function<Values()> fn = [payload] {
@@ -92,10 +67,9 @@ TEST(RobustWatchdogTest, AbandonedWorkerOwnsItsTaskChain) {
       worker_done = true;
       return values;
     };
-    result = run_with_deadline(fn, 0.05, /*grace_s=*/0.05);
+    result = run_with_deadline(fn, 0.05);
   }  // `payload` and `fn` die here while the abandoned worker still runs
   EXPECT_EQ(result.failure.kind, FailureKind::kTimeout);
-  EXPECT_TRUE(result.abandoned);
   // Let the runaway worker finish its copy of the chain before the test
   // ends, so the access above actually happens (and quiesces for leak
   // checkers).
@@ -106,33 +80,14 @@ TEST(RobustWatchdogTest, AbandonedWorkerOwnsItsTaskChain) {
 }
 
 TEST(RobustWatchdogTest, ExceptionsClassifyThroughTheWatchdog) {
-  const WatchdogResult unsupported = run_with_deadline(
+  const Attempt unsupported = run_with_deadline(
       []() -> Values { throw ConfigError("k must be >= 1"); }, 10.0);
   EXPECT_EQ(unsupported.failure.kind, FailureKind::kUnsupported);
   EXPECT_EQ(unsupported.failure.message, "k must be >= 1");
 
-  const WatchdogResult solver = run_with_deadline(
+  const Attempt solver = run_with_deadline(
       []() -> Values { throw SolverError("diverged"); }, 10.0);
   EXPECT_EQ(solver.failure.kind, FailureKind::kError);
-}
-
-TEST(RobustWatchdogTest, ScopedTokenInstallsAndRestores) {
-  EXPECT_EQ(active_cancel_token(), nullptr);
-  CancelToken outer;
-  {
-    ScopedCancelToken outer_guard(&outer);
-    EXPECT_EQ(active_cancel_token(), &outer);
-    CancelToken inner;
-    {
-      ScopedCancelToken inner_guard(&inner);
-      EXPECT_EQ(active_cancel_token(), &inner);
-      inner.cancel();
-      EXPECT_THROW(inner.checkpoint("nested"), CancelledError);
-    }
-    EXPECT_EQ(active_cancel_token(), &outer);
-    EXPECT_NO_THROW(outer.checkpoint("outer"));
-  }
-  EXPECT_EQ(active_cancel_token(), nullptr);
 }
 
 }  // namespace

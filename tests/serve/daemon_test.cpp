@@ -374,6 +374,39 @@ TEST_F(ServeDaemonTest, CrashingRequestIsContainedByIsolation) {
   daemon.drain();
 }
 
+TEST_F(ServeDaemonTest, AbandonedEvaluationOwnsItsTask) {
+  // Regression: a miss that overruns its deadline is abandoned at once and
+  // its worker outlives compute(), the daemon and these options. The task
+  // must own its EvalFn (and so the payload below); under ASan a reference
+  // to compute()'s copy of the EvalFn is a use-after-free here.
+  static std::atomic<bool> eval_done{false};
+  eval_done = false;
+  {
+    DaemonOptions options = base_options("abandon");
+    options.robust.timeout_s = 0.05;
+    const std::string payload(1024, 'z');
+    options.eval = [payload](const std::string&, const model::ScenarioSpec&) {
+      std::this_thread::sleep_for(250ms);
+      robust::Values values{{"len", static_cast<double>(payload.size())}};
+      eval_done = true;
+      return values;
+    };
+    Daemon daemon(options);
+    daemon.start();
+    Client client = Client::connect(daemon.endpoint());
+    const EvalReply reply = client.evaluate("fluid-equilibrium", quick_spec());
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.code, ErrorCode::kFailed);
+    EXPECT_NE(reply.message.find("timeout"), std::string::npos)
+        << reply.message;
+    daemon.drain();
+  }
+  for (int i = 0; i < 200 && !eval_done; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_TRUE(eval_done);
+}
+
 TEST_F(ServeDaemonTest, HandshakeRejectsVersionSkew) {
   Daemon daemon(base_options("handshake"));
   daemon.start();

@@ -100,7 +100,7 @@ TEST(SweepReproduce, Fig4bcClaimsPassAgainstPaperValues) {
 }
 
 TEST(SweepReproduce, CachedRerunReproducesTheReportVerbatim) {
-  ReproduceOptions options;
+  SweepOptions options;
   options.cache_dir = fresh_dir("reproduce_cache");
   const FigureReport cold = find_figure("fig2")->run(options);
   const FigureReport warm = find_figure("fig2")->run(options);

@@ -110,7 +110,7 @@ TEST(SweepEngine, ColdThenWarmCacheServesIdenticalResults) {
   };
   SweepOptions supervised = options;
   supervised.robust.timeout_s = 30.0;
-  supervised.robust.retry.retries = 2;
+  supervised.robust.retries = 2;
   supervised.resume = true;
   const std::string journal =
       sweep_journal_path(counted, options.cache_dir);
@@ -335,7 +335,7 @@ TEST(SweepEngine, AbandonedPointOutlivesSpecAndResultSafely) {
     spec.grid.axis("x", {2.0});
     spec.fingerprint = "abandon-v1";
     spec.compute = [](const GridPoint& point) {
-      // Never polls the cancel token: can only be abandoned.
+      // Overruns its deadline: can only be abandoned.
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
       PointResult result;
       result.values["v"] = point.at("x");
@@ -344,7 +344,6 @@ TEST(SweepEngine, AbandonedPointOutlivesSpecAndResultSafely) {
     };
     SweepOptions options;
     options.robust.timeout_s = 0.05;
-    options.robust.grace_s = 0.05;
     const SweepResult sweep = run_sweep(spec, options);
     ASSERT_EQ(sweep.num_points(), 1u);
     EXPECT_EQ(sweep.points[0].status, PointStatus::kFailed);
