@@ -202,12 +202,10 @@ TEST(RobustSupervisorTest, IsolatedCrashIsRetriedInAFreshWorker) {
 #endif
 
 TEST(RobustSupervisorTest, RetriesRunBackToBack) {
-  SupervisorOptions options;
-  options.retries = 3;
   const auto start = std::chrono::steady_clock::now();
   const SuperviseOutcome outcome = supervise(
       [](const TaskContext&) -> Values { throw SolverError("always"); },
-      options, 1);
+      retrying(3), 1);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
