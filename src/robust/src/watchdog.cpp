@@ -1,25 +1,13 @@
 #include "btmf/robust/watchdog.h"
 
 #include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
+#include <future>
 #include <thread>
 
 #include "btmf/util/strings.h"
 
 namespace btmf::robust {
 namespace {
-
-/// State shared between the caller and the worker thread. Heap-allocated
-/// and shared_ptr-owned so an abandoned (detached) worker can still write
-/// its result and destroy the state safely after the caller has given up.
-struct SharedRun {
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  Attempt attempt;
-};
 
 /// Runs `fn` on the calling thread, classifying what it throws.
 Attempt run_inline(const std::function<Values()>& fn) {
@@ -39,36 +27,24 @@ Attempt run_with_deadline(const std::function<Values()>& fn,
   // No deadline: run inline, bit-for-bit the unsupervised path.
   if (timeout_s <= 0.0) return run_inline(fn);
 
-  auto state = std::make_shared<SharedRun>();
-  // The worker owns a copy of `fn`. Together with the header's ownership
+  // The worker owns a copy of `fn` and, through the packaged task, a
+  // share of the result's state. Together with the header's ownership
   // contract (self-contained closures all the way down the task chain),
   // this means an abandoned worker only ever touches memory it owns.
-  std::thread worker([state, fn] {
-    Attempt attempt = run_inline(fn);
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->attempt = std::move(attempt);
-    state->done = true;
-    state->done_cv.notify_all();
-  });
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
-  std::unique_lock<std::mutex> lock(state->mutex);
-  if (!state->done_cv.wait_until(lock, deadline,
-                                 [&] { return state->done; })) {
-    // Deadline passed: abandon the worker. The detached thread owns a
-    // shared_ptr to `state` (captured by value) so its eventual writes
-    // land on live memory, but its result is discarded.
-    lock.unlock();
+  std::packaged_task<Attempt()> job([fn] { return run_inline(fn); });
+  std::future<Attempt> result = job.get_future();
+  std::thread worker(std::move(job));
+  if (result.wait_for(std::chrono::duration<double>(timeout_s)) ==
+      std::future_status::timeout) {
+    // Deadline passed: abandon the worker; its result is discarded.
     worker.detach();
     return {{FailureKind::kTimeout,
              "evaluation exceeded " + util::format_double(timeout_s) +
                  "s deadline (abandoned)"},
             {}};
   }
-  lock.unlock();
   worker.join();
-  return std::move(state->attempt);
+  return result.get();
 }
 
 }  // namespace btmf::robust
