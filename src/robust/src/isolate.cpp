@@ -171,8 +171,7 @@ void reap(pid_t pid, int* status) {
 
 bool isolation_supported() { return true; }
 
-Attempt run_isolated(const std::function<Values()>& fn,
-                     double timeout_s) {
+Attempt run_isolated(const std::function<Values()>& fn, double timeout_s) {
   // pipe() -> fork() -> close(write end) is one critical section: if two
   // pool threads interleave here, thread A's child inherits — and holds
   // open for its whole evaluation — thread B's pipe write end, so B's
