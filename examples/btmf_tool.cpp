@@ -349,7 +349,8 @@ int cmd_simulate(int argc, const char* const* argv) {
 /// change a computed number — only whether/how points get (re)computed.
 void add_robust_options(util::ArgParser& parser) {
   parser.add_option("timeout-s", "0",
-                    "per-point wall-clock deadline in seconds (0 = none)");
+                    "per-point wall-clock deadline in seconds (0 = none; "
+                    "at most 604800, one week)");
   parser.add_option("retries", "0",
                     "supervisor retries per point, run back to back "
                     "(each escalates solver tolerances where the backend "
@@ -367,6 +368,7 @@ void robust_options_from_cli(const util::ArgParser& parser,
                              bool* resume) {
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
+  robust::check_deadline(timeout_s);
   robust->timeout_s = timeout_s;
   robust->retries = parser.get_count("retries", 0);
   robust->isolate = parser.get_flag("isolate");
@@ -667,7 +669,8 @@ int cmd_serve(int argc, const char* const* argv) {
   parser.add_option("max-connections", "64",
                     "concurrent client connections admitted");
   parser.add_option("timeout-s", "0",
-                    "per-evaluation wall-clock deadline (0 = none)");
+                    "per-evaluation wall-clock deadline in seconds (0 = "
+                    "none; at most 604800, one week)");
   parser.add_option("retries", "0",
                     "supervisor retries per evaluation, run back to back "
                     "(each escalates solver tolerances where the backend "
@@ -687,6 +690,7 @@ int cmd_serve(int argc, const char* const* argv) {
   options.max_connections = parser.get_count("max-connections");
   const double timeout_s = parser.get_double("timeout-s");
   require(timeout_s >= 0.0, "--timeout-s must be non-negative");
+  robust::check_deadline(timeout_s);
   options.robust.timeout_s = timeout_s;
   options.robust.retries = parser.get_count("retries", 0);
   options.robust.isolate = parser.get_flag("isolate");

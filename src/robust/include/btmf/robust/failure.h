@@ -59,6 +59,15 @@ struct Attempt {
   Values values;    ///< the payload when failure.ok()
 };
 
+/// The longest per-attempt deadline the supervisor takes: one week.
+/// std::chrono turns a deadline into integer nanoseconds (int64 holds
+/// about 292 years), so a longer one would overflow that conversion.
+inline constexpr double kMaxTimeoutS = 7.0 * 24.0 * 3600.0;
+
+/// Throws btmf::ConfigError unless timeout_s is finite and at most
+/// kMaxTimeoutS. Any value <= 0, which means no deadline, passes.
+void check_deadline(double timeout_s);
+
 /// Maps the in-flight exception to a Failure. Call from inside a catch
 /// block (or any context where `throw;` rethrows): ConfigError ->
 /// kUnsupported (bad inputs stay bad on retry), any other btmf::Error or

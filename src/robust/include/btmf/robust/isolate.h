@@ -44,7 +44,8 @@ namespace btmf::robust {
 /// parseable report, kTimeout when the deadline passes (child SIGKILLed),
 /// otherwise the child's own classified failure or its values.
 /// Throws btmf::IoError only for parent-side plumbing failures (pipe or
-/// fork exhaustion), never for child misbehaviour.
+/// fork exhaustion), never for child misbehaviour, and btmf::ConfigError
+/// for a non-finite deadline or one past kMaxTimeoutS, before forking.
 [[nodiscard]] Attempt run_isolated(const std::function<Values()>& fn,
                                    double timeout_s);
 

@@ -22,10 +22,11 @@ class MetricsRegistry;
 namespace btmf::robust {
 
 struct SupervisorOptions {
-  /// Per-attempt wall-clock deadline in seconds; <= 0 disables it. An
-  /// attempt still running at the deadline is kTimeout in both modes:
-  /// with isolate the child is SIGKILLed (hard preemption), in-process
-  /// the worker thread is abandoned to finish on its own.
+  /// Per-attempt wall-clock deadline in seconds, at most kMaxTimeoutS
+  /// (one week); <= 0 disables it. An attempt still running at the
+  /// deadline is kTimeout in both modes: with isolate the child is
+  /// SIGKILLed (hard preemption), in-process the worker thread is
+  /// abandoned to finish on its own.
   double timeout_s = 0.0;
   /// Run every attempt in a forked worker subprocess (--isolate): crashes
   /// are contained and reported as kCrash instead of killing the sweep.
@@ -68,7 +69,9 @@ struct SuperviseOutcome {
 /// Runs `task` under `options`. Retries everything retryable() up to
 /// options.retries times, at once; permanent failures (kUnsupported)
 /// return immediately. With the default options this is a zero-overhead
-/// inline call with exception classification only.
+/// inline call with exception classification only. A non-finite
+/// options.timeout_s, or one past kMaxTimeoutS, throws btmf::ConfigError
+/// before the first attempt.
 [[nodiscard]] SuperviseOutcome supervise(const Task& task,
                                          const SupervisorOptions& options,
                                          std::uint64_t key);

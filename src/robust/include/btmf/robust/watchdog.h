@@ -24,6 +24,8 @@ namespace btmf::robust {
 /// deadline, `fn` runs on a worker thread; if it has not returned by the
 /// deadline the worker is abandoned and the attempt is kTimeout.
 /// Exceptions from `fn` are classified via classify_active_exception().
+/// A non-finite deadline, or one past kMaxTimeoutS, throws
+/// btmf::ConfigError before anything runs.
 ///
 /// OWNERSHIP: with a deadline, `fn` must be self-contained — capture by
 /// value, or reference only process-lifetime objects. The worker runs a

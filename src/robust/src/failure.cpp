@@ -1,6 +1,9 @@
 #include "btmf/robust/failure.h"
 
+#include <cmath>
 #include <exception>
+
+#include "btmf/util/strings.h"
 
 namespace btmf::robust {
 
@@ -38,6 +41,14 @@ bool retryable(FailureKind kind) {
       return false;
   }
   return false;
+}
+
+void check_deadline(double timeout_s) {
+  if (!std::isfinite(timeout_s) || timeout_s > kMaxTimeoutS) {
+    throw ConfigError("a deadline must be finite and at most " +
+                      util::format_double(kMaxTimeoutS) +
+                      " s (one week); got " + util::format_double(timeout_s));
+  }
 }
 
 Failure classify_active_exception() {

@@ -172,6 +172,7 @@ void reap(pid_t pid, int* status) {
 bool isolation_supported() { return true; }
 
 Attempt run_isolated(const std::function<Values()>& fn, double timeout_s) {
+  check_deadline(timeout_s);
   // pipe() -> fork() -> close(write end) is one critical section: if two
   // pool threads interleave here, thread A's child inherits — and holds
   // open for its whole evaluation — thread B's pipe write end, so B's
@@ -254,7 +255,8 @@ Attempt run_isolated(const std::function<Values()>& fn, double timeout_s) {
 
 bool isolation_supported() { return false; }
 
-Attempt run_isolated(const std::function<Values()>&, double) {
+Attempt run_isolated(const std::function<Values()>&, double timeout_s) {
+  check_deadline(timeout_s);
   Attempt outcome;
   outcome.failure = {FailureKind::kUnsupported,
                      "crash isolation requires fork(); unavailable on this "

@@ -31,6 +31,7 @@ Attempt run_attempt(const Task& task, const TaskContext& context,
 
 SuperviseOutcome supervise(const Task& task, const SupervisorOptions& options,
                            std::uint64_t key) {
+  check_deadline(options.timeout_s);
   SuperviseOutcome result;
   result.attempts = 0;
 

@@ -24,6 +24,7 @@ Attempt run_inline(const std::function<Values()>& fn) {
 
 Attempt run_with_deadline(const std::function<Values()>& fn,
                           double timeout_s) {
+  check_deadline(timeout_s);
   // No deadline: run inline, bit-for-bit the unsupervised path.
   if (timeout_s <= 0.0) return run_inline(fn);
 

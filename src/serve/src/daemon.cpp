@@ -127,6 +127,7 @@ struct Daemon::Impl {
       throw ConfigError("serve: queue_depth must be >= 1");
     if (options_.max_connections == 0)
       throw ConfigError("serve: max_connections must be >= 1");
+    robust::check_deadline(options_.robust.timeout_s);
     if (!options_.eval) options_.eval = default_eval;
     options_.robust.metrics = &registry_;
 

@@ -112,6 +112,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   if (n == 0) {
     throw ConfigError("sweep '" + spec.name + "' has an empty grid");
   }
+  robust::check_deadline(options.robust.timeout_s);
 
   std::optional<DiskCache> cache;
   if (!options.cache_dir.empty()) cache.emplace(options.cache_dir);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -12,6 +13,8 @@
 
 #include "btmf/obs/metrics.h"
 #include "btmf/robust/failure.h"
+#include "btmf/robust/isolate.h"
+#include "btmf/robust/watchdog.h"
 #include "btmf/util/error.h"
 
 namespace btmf::robust {
@@ -200,6 +203,59 @@ TEST(RobustSupervisorTest, IsolatedCrashIsRetriedInAFreshWorker) {
   EXPECT_EQ(snapshot.counters.at("robust.crashes"), 1u);
 }
 #endif
+
+TEST(RobustSupervisorTest, RefusesAnUnboundedDeadlineBeforeAnyAttempt) {
+  // Past kMaxTimeoutS, or not finite, a deadline used to overflow the
+  // clocks' integer nanoseconds, and every attempt timed out at once in
+  // both modes. Now it is a ConfigError, and nothing runs.
+  static std::atomic<int> calls{0};
+  calls = 0;
+  const Task task = [](const TaskContext&) {
+    calls.fetch_add(1);
+    return Values{{"v", 1.0}};
+  };
+  const std::function<Values()> fn = [] {
+    calls.fetch_add(1);
+    return Values{{"v", 1.0}};
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double timeout_s :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN(), 1e20,
+        2.0 * kMaxTimeoutS}) {
+    for (const bool isolate : {false, true}) {
+      SupervisorOptions options = retrying(2);
+      options.timeout_s = timeout_s;
+      options.isolate = isolate;
+      EXPECT_THROW((void)supervise(task, options, 1), ConfigError)
+          << timeout_s << (isolate ? " isolated" : "");
+    }
+    EXPECT_THROW((void)run_with_deadline(fn, timeout_s), ConfigError)
+        << timeout_s;
+    EXPECT_THROW((void)run_isolated(fn, timeout_s), ConfigError) << timeout_s;
+  }
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(RobustSupervisorTest, AOneWeekDeadlineStillRunsTheAttempt) {
+  // The cap itself is a working deadline in both modes; so are a negative
+  // one and zero, which mean none.
+  const Task task = [](const TaskContext&) { return Values{{"v", 2.5}}; };
+  for (const double timeout_s : {kMaxTimeoutS, 0.0, -1.0}) {
+    SupervisorOptions options;
+    options.timeout_s = timeout_s;
+    const SuperviseOutcome in_process = supervise(task, options, 1);
+    ASSERT_TRUE(in_process.ok()) << timeout_s << ": "
+                                 << in_process.failure.message;
+    EXPECT_DOUBLE_EQ(in_process.values.at("v"), 2.5);
+#if defined(__unix__) || defined(__APPLE__)
+    options.isolate = true;
+    const SuperviseOutcome isolated = supervise(task, options, 1);
+    ASSERT_TRUE(isolated.ok()) << timeout_s << ": "
+                               << isolated.failure.message;
+    EXPECT_DOUBLE_EQ(isolated.values.at("v"), 2.5);
+#endif
+  }
+}
 
 TEST(RobustSupervisorTest, RetriesRunBackToBack) {
   const auto start = std::chrono::steady_clock::now();
