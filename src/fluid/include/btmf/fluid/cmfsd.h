@@ -47,8 +47,30 @@
 // The per-class-rho constructor generalises P(i,j) = rho_i, which is what
 // the Adapt analysis (Sec. 4.3) needs: obedient classes run their own rho
 // while cheater classes pin rho = 1.
+//
+// The transient system is lumped. Every stage's outflow rate per peer,
+// mu eta P(i,j) + S, depends on the class only through rho_i, and an
+// arrival enters every class's first stage at the same relative rate.
+// So from the empty torrent x^{i,j}(t) = lambda_i phi^c_j(t) holds
+// exactly, where phi^c is the stage profile per unit entry rate of the
+// classes whose rho is c: P(i,1) = 1 makes the first stage's profile
+// phi_1 common to every class, and each distinct rho among the classes
+// 2..K that enter (lambda_i > 0) keeps one tail chain phi^c_2..phi^c_J,
+// J its largest class. system() integrates
+//     [phi_1, chain 1 (phi_2..phi_J), chain 2, ..., Y = sum_i y^i],
+// chains in the order of their first class. A scalar rho is one chain
+// (K + 1 states against the packed K (K + 3) / 2); all values distinct
+// gives each class its own chain, the packed stages with phi_1 shared.
+// The readouts take that state: class i's download time is
+// phi_1 + phi^c_2 + ... + phi^c_i (Little's law, lambda_i cancels), the
+// downloaders are sum over stages of phi times the rate of the classes
+// on that stage, and the seeds are Y. rhs() keeps the packed layout,
+// the independent form solve() certifies against. docs/MODELS.md §6
+// derives the lumping, §6a the stage solve.
+
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,6 +81,10 @@
 #include "btmf/math/rosenbrock.h"
 
 namespace btmf::fluid {
+
+namespace detail {
+struct CmfsdChains;  // defined in cmfsd.cpp
+}  // namespace detail
 
 struct CmfsdEquilibrium {
   std::vector<double> state;        ///< packed {x^{i,j}}, then {y^i}
@@ -82,6 +108,7 @@ class CmfsdModel {
              std::vector<double> rho_per_class);
 
   [[nodiscard]] unsigned num_classes() const { return num_classes_; }
+  /// Size of the packed state {x^{i,j}}, {y^i}: K (K + 3) / 2.
   [[nodiscard]] std::size_t state_size() const;
 
   /// Index of x^{i,j} in the packed state (1-based i in [1,K], j in [1,i]).
@@ -100,18 +127,32 @@ class CmfsdModel {
   /// homogeneous process this returns exactly the autonomous RHS.
   [[nodiscard]] math::OdeRhs rhs(const ArrivalProcess& arrival) const;
 
-  /// rhs(arrival) with the stage solves of a linearly implicit step, O(n)
-  /// each. With X = sum x, D = sum (1 - P) x, Y = sum y and the pool rate
-  /// S = mu (D + Y) / X, the Jacobian is J = J0 + u g^T: J0 is each
-  /// class's lower-bidiagonal stage chain (diagonal -(mu eta P + S), the
-  /// same rate feeding the next stage) ending in its seed row (-gamma),
-  /// u_s = x_{s-1} - x_s along a chain (x_{s-1} = 0 at its head) and
-  /// x_last on the seed row, and g = grad S: (mu (1 - P) - S) / X on the
-  /// stages, mu / X on the seeds. The solve runs down the chains and adds
-  /// the Sherman–Morrison term. With no downloaders (X = 0) the
-  /// right-hand side sets S = 0, and so does J.
+  /// The lumped transient system of the file comment, with lambda_i(t)
+  /// modulated as in rhs(arrival), and the stage solves of a linearly
+  /// implicit step, O(n) each. With X the downloaders, D their donated
+  /// mass, Y the seeds and the pool rate S = mu (D + Y) / X, the Jacobian
+  /// is J = J0 + u g^T: J0 is lower triangular in the layout's order
+  /// (each stage feeds the next along its chain, phi_1 feeds every
+  /// chain's head, and every stage a class leaves from feeds Y), u is
+  /// the profile drop along the chains (phi_{s-1} - phi_s, -phi_1 at the
+  /// first stage) and the leaving mass on Y, and g = grad S. The solve
+  /// substitutes down the chains and adds the Sherman–Morrison term.
+  /// With no downloaders (X = 0) the right-hand side sets S = 0, and so
+  /// does J.
   [[nodiscard]] math::OdeSystem system(
       const ArrivalProcess& arrival = {}) const;
+
+  /// Size of system()'s state.
+  [[nodiscard]] std::size_t lumped_size() const;
+  /// Per-class download times read from a state of system(): NaN for a
+  /// class that never enters (lambda_i = 0), as in metrics_from_state.
+  [[nodiscard]] std::vector<double> lumped_download_times(
+      std::span<const double> lumped) const;
+  /// Total downloaders, sum x^{i,j}, of a state of system().
+  [[nodiscard]] double lumped_downloaders(
+      std::span<const double> lumped) const;
+  /// Total seeds, sum y^i, of a state of system().
+  [[nodiscard]] double lumped_seeds(std::span<const double> lumped) const;
 
   /// The steady state, as the root of the scalar pool-rate equation (see
   /// the file comment). The point must satisfy the full RHS to a scaled
@@ -120,8 +161,8 @@ class CmfsdModel {
   /// exists).
   [[nodiscard]] CmfsdEquilibrium solve() const;
 
-  /// Per-class metrics evaluated at an arbitrary state (used both by
-  /// solve() and by tests that integrate the transient by hand).
+  /// Per-class metrics evaluated at a packed state (used both by solve()
+  /// and by tests that integrate rhs() by hand).
   [[nodiscard]] PerClassMetrics metrics_from_state(
       std::span<const double> state) const;
 
@@ -136,6 +177,8 @@ class CmfsdModel {
   std::vector<double> rates_;   ///< lambda_i, index 0 = class 1
   std::vector<double> rho_;     ///< per-class rho, index 0 = class 1
   unsigned num_classes_ = 0;
+  /// system()'s lumped layout and coefficients, shared with its closures.
+  std::shared_ptr<const detail::CmfsdChains> chains_;
 };
 
 }  // namespace btmf::fluid

@@ -43,49 +43,139 @@ StageCoefficients stage_coefficients(const CmfsdModel& model) {
   return c;
 }
 
-/// Solves (c I - J0 - u g^T) z = r (see CmfsdModel::system): down each
-/// class's chain of c I - J0, then the Sherman–Morrison correction
-/// z += q (g^T z) / (1 - g^T q) with q = (c I - J0)^{-1} u.
-class CmfsdStages final : public math::StageSolver {
+constexpr std::size_t kNoChain = static_cast<std::size_t>(-1);
+
+}  // namespace
+
+namespace detail {
+
+/// system()'s lumped layout (cmfsd.h): stage 0 is phi_1, chain c holds
+/// stages start[c] .. start[c + 1] - 1 (its files 2, 3, ...), and the
+/// seeds Y sit at start.back().
+struct CmfsdChains {
+  double mu = 0.0;
+  double gamma = 0.0;
+  double head_tft = 0.0;             ///< mu eta: phi_1's TFT rate (P = 1)
+  std::vector<double> tft;           ///< per chain: mu eta rho
+  std::vector<double> donation;      ///< per chain: 1 - rho
+  std::vector<std::size_t> start;    ///< per chain: first stage; then Y
+  std::vector<double> weight;        ///< per stage: rate of its classes
+  std::vector<double> leaving;       ///< per stage: rate of those it ends
+  std::vector<std::size_t> chain;    ///< per class: its chain
+
+  [[nodiscard]] std::size_t seeds() const { return start.back(); }
+
+  /// X = sum x^{i,j} and D = sum (1 - P) x^{i,j} of a lumped state.
+  void totals(std::span<const double> state, double& x_total,
+              double& donated) const {
+    x_total = weight[0] * state[0];
+    donated = 0.0;
+    for (std::size_t c = 0; c + 1 < start.size(); ++c) {
+      double mass = 0.0;
+      for (std::size_t s = start[c]; s < start[c + 1]; ++s) {
+        mass += weight[s] * state[s];
+      }
+      x_total += mass;
+      donated += donation[c] * mass;
+    }
+  }
+};
+
+}  // namespace detail
+
+namespace {
+
+/// Groups the entering classes 2..K by rho into chains, in the order of
+/// their first class, and sums the rates each stage carries.
+std::shared_ptr<const detail::CmfsdChains> lump(
+    const FluidParams& params, const std::vector<double>& rates,
+    const std::vector<double>& rho) {
+  auto c = std::make_shared<detail::CmfsdChains>();
+  c->mu = params.mu;
+  c->gamma = params.gamma;
+  c->head_tft = params.mu * params.eta;
+  c->chain.assign(rates.size(), kNoChain);
+  std::vector<double> chain_rho;
+  std::vector<std::size_t> files;  // per chain: its largest class
+  for (std::size_t i = 1; i < rates.size(); ++i) {
+    if (!(rates[i] > 0.0)) continue;
+    std::size_t k = 0;
+    while (k < chain_rho.size() && chain_rho[k] != rho[i]) ++k;
+    if (k == chain_rho.size()) {
+      chain_rho.push_back(rho[i]);
+      files.push_back(0);
+    }
+    c->chain[i] = k;
+    files[k] = i + 1;
+  }
+  std::size_t next = 1;
+  for (std::size_t k = 0; k < chain_rho.size(); ++k) {
+    c->tft.push_back(params.mu * params.eta * chain_rho[k]);
+    c->donation.push_back(1.0 - chain_rho[k]);
+    c->start.push_back(next);
+    next += files[k] - 1;
+  }
+  c->start.push_back(next);
+  c->weight.assign(next, 0.0);
+  c->leaving.assign(next, 0.0);
+  c->leaving[0] = rates[0];
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    c->weight[0] += rates[i];
+    if (c->chain[i] == kNoChain) continue;
+    // Class i + 1 walks its chain's stages for files 2 .. i + 1.
+    const std::size_t first = c->start[c->chain[i]];
+    for (std::size_t s = first; s < first + i; ++s) c->weight[s] += rates[i];
+    c->leaving[first + i - 1] = rates[i];
+  }
+  return c;
+}
+
+/// Solves (c I - J0 - u g^T) z = r (see CmfsdModel::system): forward
+/// substitution through c I - J0, lower triangular in the lumped order,
+/// then the Sherman–Morrison correction z += q (g^T z) / (1 - g^T q)
+/// with q = (c I - J0)^{-1} u.
+class LumpedStages final : public math::StageSolver {
  public:
-  CmfsdStages(StageCoefficients coefficients, std::size_t num_classes,
-              double mu, double gamma)
-      : c_(std::move(coefficients)), classes_(num_classes), mu_(mu),
-        gamma_(gamma), inv_x_(c_.tft.size()), out_(c_.tft.size()),
-        q_(c_.tft.size() + num_classes), g_(q_.size()) {}
+  explicit LumpedStages(std::shared_ptr<const detail::CmfsdChains> chains)
+      : c_(std::move(chains)), out_(c_->tft.size()), inv_(c_->tft.size()),
+        q_(c_->seeds() + 1), g_(q_.size()) {}
 
   void factor(double /*t*/, std::span<const double> state,
               double c) override {
-    const std::size_t stages = c_.tft.size();
+    const detail::CmfsdChains& ch = *c_;
+    const std::size_t seeds = ch.seeds();
     double x_total = 0.0;
     double donated = 0.0;
-    for (std::size_t s = 0; s < stages; ++s) {
-      x_total += state[s];
-      donated += c_.donation[s] * state[s];
-    }
-    double y_total = 0.0;
-    for (std::size_t s = stages; s < state.size(); ++s) y_total += state[s];
+    ch.totals(state, x_total, donated);
     const bool pooled = x_total > 0.0;
-    const double pool_rate = pooled ? mu_ * (donated + y_total) / x_total : 0.0;
+    const double pool_rate =
+        pooled ? ch.mu * (donated + state[seeds]) / x_total : 0.0;
 
-    inv_y_ = 1.0 / (c + gamma_);
-    for (std::size_t s = 0; s < stages; ++s) {
-      out_[s] = c_.tft[s] + pool_rate;
-      inv_x_[s] = 1.0 / (c + out_[s]);
+    head_out_ = ch.head_tft + pool_rate;
+    head_inv_ = 1.0 / (c + head_out_);
+    for (std::size_t k = 0; k < out_.size(); ++k) {
+      out_[k] = ch.tft[k] + pool_rate;
+      inv_[k] = 1.0 / (c + out_[k]);
     }
+    inv_y_ = 1.0 / (c + ch.gamma);
     coupled_ = pooled;
     if (!pooled) return;
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < classes_; ++i) {
-      double upstream = 0.0;  // x_{s-1} within the chain
-      for (std::size_t j = 0; j <= i; ++j, ++s) {
+    // u = dF/dS: the profile drop along each chain (its head is fed by
+    // phi_1), and on Y the mass leaving from every stage.
+    q_[0] = -state[0];
+    g_[0] = -pool_rate * ch.weight[0] / x_total;
+    double leaving = ch.leaving[0] * state[0];
+    for (std::size_t k = 0; k < out_.size(); ++k) {
+      double upstream = state[0];
+      for (std::size_t s = ch.start[k]; s < ch.start[k + 1]; ++s) {
         q_[s] = upstream - state[s];
-        g_[s] = (mu_ * c_.donation[s] - pool_rate) / x_total;
+        g_[s] = ch.weight[s] * (ch.mu * ch.donation[k] - pool_rate) / x_total;
+        leaving += ch.leaving[s] * state[s];
         upstream = state[s];
       }
-      q_[stages + i] = upstream;
-      g_[stages + i] = mu_ / x_total;
     }
+    q_[seeds] = leaving;
+    g_[seeds] = ch.mu / x_total;
     chain_solve(q_);
     const double gq = math::dot(g_, q_);
     denominator_ = 1.0 - gq;
@@ -98,26 +188,29 @@ class CmfsdStages final : public math::StageSolver {
   }
 
  private:
-  /// (c I - J0)^{-1} r: down each class's stage chain into its seed row.
+  /// (c I - J0)^{-1} r: phi_1, then down each chain, then Y.
   void chain_solve(std::span<double> r) const {
-    const std::size_t stages = c_.tft.size();
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < classes_; ++i) {
-      double inflow = 0.0;  // out_{s-1} z_{s-1}
-      for (std::size_t j = 0; j <= i; ++j, ++s) {
-        r[s] = (r[s] + inflow) * inv_x_[s];
-        inflow = out_[s] * r[s];
+    const detail::CmfsdChains& ch = *c_;
+    r[0] *= head_inv_;
+    const double head_flow = head_out_ * r[0];
+    double leaving = ch.leaving[0] * head_flow;
+    for (std::size_t k = 0; k < out_.size(); ++k) {
+      double inflow = head_flow;  // out_{s-1} z_{s-1}
+      for (std::size_t s = ch.start[k]; s < ch.start[k + 1]; ++s) {
+        r[s] = (r[s] + inflow) * inv_[k];
+        inflow = out_[k] * r[s];
+        leaving += ch.leaving[s] * inflow;
       }
-      r[stages + i] = (r[stages + i] + inflow) * inv_y_;
     }
+    const std::size_t seeds = ch.seeds();
+    r[seeds] = (r[seeds] + leaving) * inv_y_;
   }
 
-  StageCoefficients c_;
-  std::size_t classes_;
-  double mu_;
-  double gamma_;
-  std::vector<double> inv_x_;  ///< 1 / (c + mu eta P + S)
-  std::vector<double> out_;    ///< mu eta P + S
+  std::shared_ptr<const detail::CmfsdChains> c_;
+  double head_out_ = 0.0;      ///< mu eta + S
+  double head_inv_ = 0.0;      ///< 1 / (c + mu eta + S)
+  std::vector<double> out_;    ///< per chain: mu eta rho + S
+  std::vector<double> inv_;    ///< per chain: 1 / (c + mu eta rho + S)
   double inv_y_ = 0.0;         ///< 1 / (c + gamma)
   std::vector<double> q_;      ///< (c I - J0)^{-1} u
   std::vector<double> g_;      ///< grad S
@@ -133,6 +226,7 @@ CmfsdModel::CmfsdModel(const FluidParams& params,
                  std::vector<double>{}) {
   validate_rho(rho);
   rho_.assign(num_classes_, rho);
+  chains_ = lump(params_, rates_, rho_);
 }
 
 CmfsdModel::CmfsdModel(const FluidParams& params,
@@ -158,6 +252,7 @@ CmfsdModel::CmfsdModel(const FluidParams& params,
                    "per-class rho size must match the number of classes");
     for (const double r : rho_) validate_rho(r);
   }
+  chains_ = lump(params_, rates_, rho_);
 }
 
 std::size_t CmfsdModel::state_size() const {
@@ -245,14 +340,75 @@ math::OdeRhs CmfsdModel::rhs(const ArrivalProcess& arrival) const {
 }
 
 math::OdeSystem CmfsdModel::system(const ArrivalProcess& arrival) const {
+  arrival.validate();
   math::OdeSystem ode;
-  ode.rhs = rhs(arrival);
-  ode.stages = [c = stage_coefficients(*this), classes = rates_.size(),
-                mu = params_.mu, gamma = params_.gamma] {
-    return std::make_unique<CmfsdStages>(c, classes, mu, gamma);
+  // Per unit of entry rate: phi_1 takes m(t), every stage passes its
+  // outflow on along its chain, and each class leaves for Y from its
+  // last stage.
+  ode.rhs = [c = chains_, arrival, homogeneous = arrival.homogeneous()](
+                double t, std::span<const double> state,
+                std::span<double> dstate) {
+    BTMF_ASSERT(state.size() == c->seeds() + 1);
+    BTMF_ASSERT(dstate.size() == state.size());
+    double x_total = 0.0;
+    double donated = 0.0;
+    c->totals(state, x_total, donated);
+    const double y_total = state[c->seeds()];
+    const double pool_rate =
+        x_total > 0.0 ? c->mu * (donated + y_total) / x_total : 0.0;
+
+    const double head_out = (c->head_tft + pool_rate) * state[0];
+    dstate[0] = (homogeneous ? 1.0 : arrival.rate_at(1.0, t)) - head_out;
+    double leaving = c->leaving[0] * head_out;
+    for (std::size_t k = 0; k + 1 < c->start.size(); ++k) {
+      const double rate = c->tft[k] + pool_rate;
+      double inflow = head_out;
+      for (std::size_t s = c->start[k]; s < c->start[k + 1]; ++s) {
+        const double outflow = rate * state[s];
+        dstate[s] = inflow - outflow;
+        leaving += c->leaving[s] * outflow;
+        inflow = outflow;
+      }
+    }
+    dstate[c->seeds()] = leaving - c->gamma * y_total;
   };
+  ode.stages = [c = chains_] { return std::make_unique<LumpedStages>(c); };
   ode.autonomous = arrival.homogeneous();
   return ode;
+}
+
+std::size_t CmfsdModel::lumped_size() const { return chains_->seeds() + 1; }
+
+std::vector<double> CmfsdModel::lumped_download_times(
+    std::span<const double> lumped) const {
+  BTMF_CHECK_MSG(lumped.size() == lumped_size(),
+                 "lumped_download_times: state size mismatch");
+  const detail::CmfsdChains& c = *chains_;
+  std::vector<double> times(num_classes_, kNaN);
+  for (std::size_t i = 0; i < num_classes_; ++i) {
+    if (rates_[i] <= 0.0) continue;
+    // Little's law through the stages: sum_j x^{i,j} / lambda_i.
+    double time = lumped[0];
+    if (i > 0) {
+      const std::size_t first = c.start[c.chain[i]];
+      for (std::size_t s = first; s < first + i; ++s) time += lumped[s];
+    }
+    times[i] = time;
+  }
+  return times;
+}
+
+double CmfsdModel::lumped_downloaders(std::span<const double> lumped) const {
+  BTMF_ASSERT(lumped.size() == lumped_size());
+  double x_total = 0.0;
+  double donated = 0.0;
+  chains_->totals(lumped, x_total, donated);
+  return x_total;
+}
+
+double CmfsdModel::lumped_seeds(std::span<const double> lumped) const {
+  BTMF_ASSERT(lumped.size() == lumped_size());
+  return lumped[chains_->seeds()];
 }
 
 CmfsdEquilibrium CmfsdModel::solve() const {

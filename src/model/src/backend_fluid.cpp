@@ -248,39 +248,30 @@ class FluidTransientBackend final : public Backend {
         break;
       }
       case fluid::SchemeKind::kCmfsd: {
+        // The lumped system (fluid/cmfsd.h): one stage profile per rho
+        // chain instead of one population per (class, stage).
         const fluid::CmfsdModel model =
             cmfsd_model(spec, outcome.class_entry_rates);
         const fluid::TransientSeries series = fluid::sample_trajectory(
             model.system(spec.arrival),
-            std::vector<double>(model.state_size(), 0.0), options);
-        outcome.per_class =
-            model.metrics_from_state(readout_state(series, spec));
-        if (const double mod = readout_modulation(spec); mod != 1.0) {
-          // metrics_from_state divided by the base rates; rescale its
-          // Little's-law quotients to the window-mean arrival rate.
-          std::vector<double> online(spec.num_files), download(spec.num_files);
-          for (unsigned i = 0; i < spec.num_files; ++i) {
-            download[i] = outcome.per_class.download_time[i] / mod;
-            online[i] = download[i] + 1.0 / spec.fluid.gamma;
-          }
-          outcome.per_class = fluid::make_per_class_metrics(
-              std::move(online), std::move(download));
+            std::vector<double>(model.lumped_size(), 0.0), options);
+        const double mod = readout_modulation(spec);
+        std::vector<double> download =
+            model.lumped_download_times(readout_state(series, spec));
+        std::vector<double> online(download.size());
+        for (std::size_t i = 0; i < download.size(); ++i) {
+          download[i] /= mod;
+          online[i] = download[i] + 1.0 / spec.fluid.gamma;
         }
+        outcome.per_class = fluid::make_per_class_metrics(
+            std::move(online), std::move(download));
         Trajectory trajectory;
         trajectory.time = series.times;
         trajectory.downloaders = series.map([&](std::span<const double> y) {
-          double total = 0.0;
-          for (unsigned i = 1; i <= model.num_classes(); ++i) {
-            for (unsigned j = 1; j <= i; ++j) total += y[model.x_index(i, j)];
-          }
-          return total;
+          return model.lumped_downloaders(y);
         });
         trajectory.seeds = series.map([&](std::span<const double> y) {
-          double total = 0.0;
-          for (unsigned i = 1; i <= model.num_classes(); ++i) {
-            total += y[model.y_index(i)];
-          }
-          return total;
+          return model.lumped_seeds(y);
         });
         outcome.trajectory = std::move(trajectory);
         break;

@@ -3,15 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "btmf/fluid/correlation.h"
+#include "btmf/fluid/demand.h"
 #include "btmf/fluid/mfcd.h"
 #include "btmf/fluid/single_torrent.h"
+#include "btmf/fluid/transient.h"
 #include "btmf/math/equilibrium.h"
 #include "btmf/math/newton.h"
 #include "btmf/math/vec.h"
+#include "btmf/model/backend.h"
 #include "btmf/util/error.h"
 
 namespace btmf::fluid {
@@ -31,6 +38,31 @@ TEST(CmfsdTest, StateLayoutIsPackedTriangle) {
   EXPECT_EQ(model.x_index(10, 10), 54u);
   EXPECT_EQ(model.y_index(1), 55u);
   EXPECT_EQ(model.y_index(10), 64u);
+}
+
+TEST(CmfsdTest, LumpedLayoutKeepsOneChainPerRho) {
+  // phi_1, one tail chain per distinct rho among the entering classes
+  // 2..K (as long as its largest class needs), then Y.
+  const auto rates = paper_rates(0.5);
+  EXPECT_EQ(CmfsdModel(kPaperParams, rates, 0.5).lumped_size(), 11u);
+  std::vector<double> split(10, 0.2);
+  for (unsigned i = 5; i < 10; ++i) split[i] = 1.0;
+  // Classes 2..5 share a chain of 4 stages, classes 6..10 one of 9.
+  EXPECT_EQ(CmfsdModel(kPaperParams, rates, split).lumped_size(), 15u);
+  std::vector<double> distinct(10);
+  for (unsigned i = 0; i < 10; ++i) distinct[i] = 0.1 * i;
+  EXPECT_EQ(CmfsdModel(kPaperParams, rates, distinct).lumped_size(),
+            2u + 9u * 10u / 2u);
+  EXPECT_EQ(CmfsdModel(kPaperParams, {2.0}, 0.5).lumped_size(), 2u);
+  // Classes that never enter join no chain.
+  EXPECT_EQ(CmfsdModel(kPaperParams, {0.5, 0.0, 0.0, 0.0}, distinct.front())
+                .lumped_size(),
+            2u);
+  EXPECT_EQ(
+      CmfsdModel(kPaperParams, {0.0, 0.3, 0.0, 0.2},
+                 std::vector<double>{0.0, 0.4, 0.4, 0.7})
+          .lumped_size(),
+      1u + 1u + 3u + 1u);
 }
 
 TEST(CmfsdTest, BandwidthSplitImplementsP) {
@@ -267,6 +299,127 @@ TEST(CmfsdTest, PerClassRhoCheatersDegradeObedientPeers) {
   // their download time per file drops below the obedient equilibrium's.
   EXPECT_GT(mixed.metrics.download_per_file[9],
             honest.metrics.download_per_file[9]);
+}
+
+/// The packed right-hand side under dopri5 alone: transients that cap
+/// every step at 10, inside dopri5's stability bound, never ask for a
+/// stage solve.
+math::OdeSystem packed_dopri5(const CmfsdModel& model,
+                              const ArrivalProcess& arrival) {
+  math::OdeSystem ode;
+  ode.rhs = model.rhs(arrival);
+  ode.stages = []() -> std::unique_ptr<math::StageSolver> {
+    throw std::logic_error("the packed reference has no stage solves");
+  };
+  ode.autonomous = arrival.homogeneous();
+  return ode;
+}
+
+TEST(CmfsdTest, LumpedChainsMatchThePackedSystem) {
+  // From the empty torrent x^{i,j} = lambda_i phi_j holds exactly, so
+  // the lumped system's readouts are the packed system's up to the
+  // integrators' error, here at rtol 1e-12 on both sides.
+  const auto rates = [](double p) {
+    return CorrelationModel(20, p, 1.0).system_entry_rates();
+  };
+  std::vector<double> split(20, 0.2);  // Adapt: obedient, then cheaters
+  for (unsigned i = 10; i < 20; ++i) split[i] = 1.0;
+  std::vector<double> distinct(20);
+  for (unsigned i = 0; i < 20; ++i) distinct[i] = 0.05 * i;
+  struct Case {
+    std::string name;
+    CmfsdModel model;
+    ArrivalProcess arrival;
+  };
+  std::vector<Case> cases;
+  for (const double p : {0.15, 0.5, 0.95}) {
+    cases.push_back({"rho 0.3, p " + std::to_string(p),
+                     CmfsdModel(kPaperParams, rates(p), 0.3), {}});
+  }
+  cases.push_back(
+      {"obedient/cheater", CmfsdModel(kPaperParams, rates(0.7), split), {}});
+  cases.push_back(
+      {"all distinct", CmfsdModel(kPaperParams, rates(0.5), distinct), {}});
+  cases.push_back({"diurnal", CmfsdModel(kPaperParams, rates(0.5), 0.3),
+                   parse_arrival("diurnal,0.5,8000,0")});
+  cases.push_back({"flash", CmfsdModel(kPaperParams, rates(0.5), 0.3),
+                   parse_arrival("flash,12000.5,30,20,1000,2")});
+  cases.push_back({"K = 1", CmfsdModel(kPaperParams, {1.0}, 0.5), {}});
+  cases.push_back({"idle class",
+                   CmfsdModel(kPaperParams, {0.3, 0.2, 0.0, 0.4, 0.1}, 0.5),
+                   {}});
+  for (const Case& c : cases) {
+    TransientOptions options;
+    options.t_end = 20000.0;
+    options.ode.rtol = 1e-12;
+    options.ode.atol = 1e-15;
+    options.breakpoints = c.arrival.breakpoints(0.0, options.t_end);
+    TransientOptions dopri5_only = options;
+    dopri5_only.ode.max_dt = 10.0;
+    const TransientSeries packed = sample_trajectory(
+        packed_dopri5(c.model, c.arrival),
+        std::vector<double>(c.model.state_size(), 0.0), dopri5_only);
+    const TransientSeries lumped = sample_trajectory(
+        c.model.system(c.arrival),
+        std::vector<double>(c.model.lumped_size(), 0.0), options);
+    const auto expect_close = [&](double got, double want,
+                                  const std::string& what) {
+      EXPECT_LE(std::abs(got - want), 1e-10 * (1.0 + std::abs(want)))
+          << c.name << " " << what << ": " << got << " vs " << want;
+    };
+    // A packed class entering at 1e-6 of the busiest one's rate or less
+    // has populations below atol's resolution; its lumped profile does
+    // not, so only the others are compared.
+    const std::vector<double>& lambda = c.model.class_entry_rates();
+    const double busiest = *std::max_element(lambda.begin(), lambda.end());
+    const PerClassMetrics want =
+        c.model.metrics_from_state(packed.states.back());
+    const std::vector<double> got =
+        c.model.lumped_download_times(lumped.states.back());
+    ASSERT_EQ(got.size(), want.download_time.size()) << c.name;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (lambda[i] == 0.0) {
+        EXPECT_TRUE(std::isnan(got[i])) << c.name << " class " << i + 1;
+      } else if (lambda[i] > 1e-6 * busiest) {
+        expect_close(got[i], want.download_time[i],
+                     "class " + std::to_string(i + 1));
+      }
+    }
+    const std::size_t stages = c.model.state_size() - c.model.num_classes();
+    for (std::size_t s = 0; s < packed.states.size(); ++s) {
+      const std::vector<double>& x = packed.states[s];
+      double downloaders = 0.0;
+      double seeds = 0.0;
+      for (std::size_t v = 0; v < x.size(); ++v) {
+        (v < stages ? downloaders : seeds) += x[v];
+      }
+      expect_close(c.model.lumped_downloaders(lumped.states[s]), downloaders,
+                   "downloaders at sample " + std::to_string(s));
+      expect_close(c.model.lumped_seeds(lumped.states[s]), seeds,
+                   "seeds at sample " + std::to_string(s));
+    }
+  }
+}
+
+TEST(CmfsdTest, AllEqualRhoPerClassIsBitIdenticalToTheScalarRho) {
+  // Equal values share one chain, so the per-class form runs the scalar
+  // form's arithmetic.
+  model::ScenarioSpec spec;
+  spec.scheme = SchemeKind::kCmfsd;
+  spec.correlation = 0.7;
+  spec.rho = 0.35;
+  const model::Backend& backend = model::require_backend("fluid-transient");
+  const model::Outcome scalar = backend.evaluate_or_throw(spec);
+  spec.rho_per_class.assign(spec.num_files, 0.35);
+  const model::Outcome per_class = backend.evaluate_or_throw(spec);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(per_class.avg_online_per_file),
+            std::bit_cast<std::uint64_t>(scalar.avg_online_per_file));
+  EXPECT_EQ(per_class.per_class.online_time, scalar.per_class.online_time);
+  EXPECT_EQ(per_class.per_class.download_time,
+            scalar.per_class.download_time);
+  ASSERT_TRUE(per_class.trajectory && scalar.trajectory);
+  EXPECT_EQ(per_class.trajectory->downloaders, scalar.trajectory->downloaders);
+  EXPECT_EQ(per_class.trajectory->seeds, scalar.trajectory->seeds);
 }
 
 TEST(CmfsdTest, MetricsFromStateValidatesSize) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "btmf/fluid/cmfsd.h"
@@ -93,7 +94,20 @@ std::vector<Family> families(unsigned k) {
   for (const double rho : {0.0, 0.4, 1.0}) {
     const CmfsdModel model(kPaperParams, corr.system_entry_rates(), rho);
     out.push_back({"CMFSD rho " + std::to_string(rho), model.system(),
-                   model.state_size(), k == 1 || rho == 1.0});
+                   model.lumped_size(), k == 1 || rho == 1.0});
+  }
+  // Several chains: Adapt's obedient/cheater split, and a rho per class.
+  std::vector<double> split(k, 0.3);
+  std::vector<double> distinct(k);
+  for (unsigned i = 0; i < k; ++i) {
+    if (2 * i >= k) split[i] = 1.0;
+    distinct[i] = static_cast<double>(i) / k;
+  }
+  for (const auto& [name, rho] : {std::pair{"split", split},
+                                  std::pair{"distinct", distinct}}) {
+    const CmfsdModel model(kPaperParams, corr.system_entry_rates(), rho);
+    out.push_back({std::string("CMFSD rho ") + name, model.system(),
+                   model.lumped_size(), k == 1});
   }
   return out;
 }
@@ -137,24 +151,29 @@ TEST(StageSolveTest, MatchesDenseSolveAtTheEmptyState) {
       }
     }
   }
-  // A donating CMFSD at 0: (c I - J0) z = r down the TFT chains alone.
+  // A donating CMFSD at 0: (c I - J0) z = r down the TFT chain alone.
   const CorrelationModel corr(3, 0.6, 1.0);
-  const CmfsdModel donating(kPaperParams, corr.system_entry_rates(), 0.4);
+  const std::vector<double> rates = corr.system_entry_rates();
+  const CmfsdModel donating(kPaperParams, rates, 0.4);
   const math::OdeSystem ode = donating.system();
   const std::unique_ptr<math::StageSolver> stages = ode.stages();
-  std::vector<double> r(donating.state_size(), 1.0);
-  stages->factor(0.0, std::vector<double>(donating.state_size(), 0.0), 1.0);
+  ASSERT_EQ(donating.lumped_size(), 4u);  // phi_1, phi_2, phi_3, Y
+  std::vector<double> r(4, 1.0);
+  stages->factor(0.0, std::vector<double>(4, 0.0), 1.0);
   stages->solve(r);
   const double tft = kPaperParams.mu * kPaperParams.eta;
-  // Class 3's chain: P = 1, rho, rho; seed row gamma.
+  // The chain: P = 1, rho, rho; each class leaves for Y from its last
+  // file, and Y's row is gamma.
   const double z1 = 1.0 / (1.0 + tft);
   const double z2 = (1.0 + tft * z1) / (1.0 + 0.4 * tft);
   const double z3 = (1.0 + 0.4 * tft * z2) / (1.0 + 0.4 * tft);
-  const double zy = (1.0 + 0.4 * tft * z3) / (1.0 + kPaperParams.gamma);
-  EXPECT_NEAR(r[donating.x_index(3, 1)], z1, 1e-15);
-  EXPECT_NEAR(r[donating.x_index(3, 2)], z2, 1e-15);
-  EXPECT_NEAR(r[donating.x_index(3, 3)], z3, 1e-15);
-  EXPECT_NEAR(r[donating.y_index(3)], zy, 1e-15);
+  const double zy = (1.0 + rates[0] * tft * z1 + rates[1] * 0.4 * tft * z2 +
+                     rates[2] * 0.4 * tft * z3) /
+                    (1.0 + kPaperParams.gamma);
+  EXPECT_NEAR(r[0], z1, 1e-15);
+  EXPECT_NEAR(r[1], z2, 1e-15);
+  EXPECT_NEAR(r[2], z3, 1e-15);
+  EXPECT_NEAR(r[3], zy, 1e-15);
 }
 
 TEST(StageSolveTest, OverflowingPoolRateFailsTypedNotWithNaN) {
@@ -163,9 +182,9 @@ TEST(StageSolveTest, OverflowingPoolRateFailsTypedNotWithNaN) {
   // with SolverError instead of handing the step inf or NaN.
   const CorrelationModel corr(3, 0.6, 1.0);
   const CmfsdModel cmfsd(kPaperParams, corr.system_entry_rates(), 0.4);
-  std::vector<double> y(cmfsd.state_size(), 0.0);
-  y[cmfsd.x_index(2, 2)] = 1e-310;
-  y[cmfsd.y_index(1)] = 5.0;
+  std::vector<double> y(cmfsd.lumped_size(), 0.0);
+  y[1] = 1e-310;  // phi_2
+  y.back() = 5.0;  // Y
   EXPECT_THROW(cmfsd.system().stages()->factor(0.0, y, 1.0), SolverError);
 
   const math::OdeSystem mtcd =

@@ -72,13 +72,15 @@ TEST(TransientTest, SettlingTimeInfiniteWhenNeverReached) {
 }
 
 TEST(TransientTest, FlashCrowdPeakExceedsSteadyState) {
-  // Drop a crowd of 500 class-1 peers into an empty CMFSD torrent with a
-  // small trickle arrival: the downloader population peaks at the crowd
-  // size and then drains well below it.
+  // Drop a crowd of 500 peers, mixed over the classes like the arrivals,
+  // into an empty CMFSD torrent with a small trickle arrival: in the
+  // lumped layout that is phi_1 = 500 / sum_i lambda_i. The downloader
+  // population peaks at the crowd size and then drains well below it.
   const CorrelationModel corr(3, 0.5, 0.1);
-  const CmfsdModel model(kPaperParams, corr.system_entry_rates(), 0.0);
-  std::vector<double> y0(model.state_size(), 0.0);
-  y0[model.x_index(1, 1)] = 500.0;
+  const std::vector<double> rates = corr.system_entry_rates();
+  const CmfsdModel model(kPaperParams, rates, 0.0);
+  std::vector<double> y0(model.lumped_size(), 0.0);
+  y0[0] = 500.0 / (rates[0] + rates[1] + rates[2]);
 
   TransientOptions options;
   options.t_end = 3000.0;
@@ -87,11 +89,9 @@ TEST(TransientTest, FlashCrowdPeakExceedsSteadyState) {
       sample_trajectory(model.system(), y0, options);
 
   const auto total_downloaders = [&](std::span<const double> state) {
-    double total = 0.0;
-    for (unsigned i = 1; i <= 3; ++i)
-      for (unsigned j = 1; j <= i; ++j) total += state[model.x_index(i, j)];
-    return total;
+    return model.lumped_downloaders(state);
   };
+  EXPECT_NEAR(total_downloaders(series.states.front()), 500.0, 1e-12);
   const double peak = peak_value(series, total_downloaders);
   EXPECT_NEAR(peak, 500.0, 1.0);  // the crowd itself is the peak
   EXPECT_LT(total_downloaders(series.states.back()), 50.0);
@@ -131,7 +131,10 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
   // tens of time units, so a trajectory that is not split at the pulse
   // edges steps over a pulse of width 1 or 3 and misses its crowd (the
   // readout then lands ~1% off). The reference is split the same way and
-  // caps every step at 0.05.
+  // caps every step at 0.05. CMFSD's lumped state keeps one seed total
+  // where the packed one kept a row per class; its samples read up to
+  // 3.1e-9 off (its stage profiles 1.7e-9, the packed rows 1.3e-9), so
+  // CMFSD is held to 4e-9 and the others to 2e-9.
   const CorrelationModel corr(5, 0.9, 1.0);
   const CmfsdModel cmfsd(kPaperParams, corr.system_entry_rates(), 0.3);
   for (const double width : {1.0, 3.0, 10.0}) {
@@ -144,14 +147,16 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
       const char* scheme;
       math::OdeSystem ode;
       std::size_t size;
+      double bound;
     } systems[] = {
         {"MTSD",
          single_torrent_system(kPaperParams, corr.per_torrent_total_rate(),
                                pulse),
-         2},
+         2, 2e-9},
         {"MTCD",
-         mtcd_system(kPaperParams, corr.per_torrent_entry_rates(), pulse), 10},
-        {"CMFSD", cmfsd.system(pulse), cmfsd.state_size()},
+         mtcd_system(kPaperParams, corr.per_torrent_entry_rates(), pulse), 10,
+         2e-9},
+        {"CMFSD", cmfsd.system(pulse), cmfsd.lumped_size(), 4e-9},
     };
     for (const auto& system : systems) {
       TransientOptions options;
@@ -175,7 +180,7 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
                                       (1.0 + std::abs(want)));
         }
       }
-      EXPECT_LT(worst, 2e-9) << system.scheme << " width " << width;
+      EXPECT_LT(worst, system.bound) << system.scheme << " width " << width;
     }
   }
 }
@@ -212,16 +217,21 @@ TEST(TransientTest, StiffTailGoesToTheImplicitStepperUnlessMaxDtHoldsIt) {
   options.t_end = 40000.0;
   options.ode.rtol = 1e-9;
   options.ode.atol = 1e-12;
-  const std::vector<double> y0(model.state_size(), 0.0);
+  const std::vector<double> y0(model.lumped_size(), 0.0);
   const TransientSeries series = sample_trajectory(ode, y0, options);
   EXPECT_GT(factors, 0u);
   EXPECT_LT(factors, options.samples);
   const CmfsdEquilibrium eq = model.solve();
-  for (std::size_t c = 0; c < eq.state.size(); ++c) {
-    EXPECT_NEAR(series.states.back()[c], eq.state[c],
-                1e-8 * (1.0 + eq.state[c]))
-        << c;
+  const std::vector<double>& end = series.states.back();
+  const std::vector<double> download = model.lumped_download_times(end);
+  for (std::size_t i = 0; i < download.size(); ++i) {
+    const double want = eq.metrics.download_time[i];
+    EXPECT_NEAR(download[i], want, 1e-8 * (1.0 + want)) << "class " << i + 1;
   }
+  EXPECT_NEAR(model.lumped_downloaders(end), eq.total_downloaders,
+              1e-8 * (1.0 + eq.total_downloaders));
+  EXPECT_NEAR(model.lumped_seeds(end), eq.total_seeds,
+              1e-8 * (1.0 + eq.total_seeds));
 
   factors = 0;
   options.ode.max_dt = 10.0;
@@ -270,7 +280,7 @@ TEST(TransientTest, SampleCountChangesNoStep) {
     math::OdeSystem ode;
     std::size_t size;
   } systems[] = {
-      {"CMFSD", cmfsd.system(), cmfsd.state_size()},
+      {"CMFSD", cmfsd.system(), cmfsd.lumped_size()},
       {"MTCD", mtcd_system(kPaperParams, corr.per_torrent_entry_rates()),
        40},
   };
@@ -315,7 +325,7 @@ TEST(TransientTest, PulseInTheStiffTailGoesBackToDopri5) {
   options.ode.rtol = 1e-9;
   options.ode.atol = 1e-12;
   options.breakpoints = pulse.breakpoints(0.0, options.t_end);
-  const std::vector<double> y0(model.state_size(), 0.0);
+  const std::vector<double> y0(model.lumped_size(), 0.0);
   const TransientSeries series = sample_trajectory(ode, y0, options);
   EXPECT_GT(factors, 0u);
   EXPECT_LT(factors, 2 * options.samples);
@@ -326,7 +336,7 @@ TEST(TransientTest, PulseInTheStiffTailGoesBackToDopri5) {
   EXPECT_EQ(factors, implicit_factors);
   double worst = 0.0;
   for (std::size_t s = 0; s < series.states.size(); ++s) {
-    for (std::size_t c = 0; c < model.state_size(); ++c) {
+    for (std::size_t c = 0; c < model.lumped_size(); ++c) {
       const double want = fine.states[s][c];
       worst = std::max(worst, std::abs(series.states[s][c] - want) /
                                   (1.0 + std::abs(want)));

@@ -8,8 +8,10 @@
 // the whole trajectory; the comparison is relative at 1e-9, the level
 // at which the integrator choice may move them (a trajectory's samples
 // are held to rtol 1e-9 either way). Every sample of the attached
-// trajectory is also checked against dopri5 alone at rtol 1e-12, and
-// every output of each spec is pinned bit for bit by one FNV-1a checksum.
+// trajectory is also checked against dopri5 alone at rtol 1e-12 (CMFSD's
+// on the packed system, one population per class and stage, which the
+// backend's lumped system must match), and every output of each spec is
+// pinned bit for bit by one FNV-1a checksum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <ios>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -329,7 +332,8 @@ class CountingStages final : public math::StageSolver {
 /// The spec's trajectory as the backend attaches it (total downloaders,
 /// then total seeds, per sample), integrated by dopri5 alone at rtol
 /// 1e-12: a max_dt of 10 keeps every step inside its stability bound, so
-/// no step goes to RODAS3 (checked by counting factorisations).
+/// no step goes to RODAS3 (checked by counting factorisations). CMFSD's
+/// reference is the packed system, one population per (class, stage).
 std::vector<std::vector<double>> dopri5_reference(const ScenarioSpec& spec) {
   const fluid::CorrelationModel corr = spec.correlation_model();
   fluid::TransientOptions options;
@@ -379,10 +383,19 @@ std::vector<std::vector<double>> dopri5_reference(const ScenarioSpec& spec) {
                         spec.arrival),
                     2, first(1), second(1));
     case SchemeKind::kCmfsd: {
+      // The packed right-hand side, so the reference is independent of
+      // the lumped system the backend integrates. Its steps never reach
+      // the stage solves (counted above), which it does not have.
       const fluid::CmfsdModel model(spec.fluid, corr.system_entry_rates(),
                                     spec.rho);
+      math::OdeSystem packed;
+      packed.rhs = model.rhs(spec.arrival);
+      packed.stages = []() -> std::unique_ptr<math::StageSolver> {
+        throw std::logic_error("the packed reference has no stage solves");
+      };
+      packed.autonomous = spec.arrival.homogeneous();
       return sample(
-          model.system(spec.arrival), model.state_size(),
+          std::move(packed), model.state_size(),
           [&](std::span<const double> y) {
             double total = 0.0;
             for (unsigned i = 1; i <= k; ++i) {
