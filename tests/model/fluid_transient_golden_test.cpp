@@ -471,25 +471,25 @@ const PinnedBits kPinnedBits[] = {
     {"MTCD/p0.15", 0x8b9512f7c784dd3eULL},
     {"MTSD/p0.15", 0xdeee848dde8e8a1fULL},
     {"MFCD/p0.15", 0x8b9512f7c784dd3eULL},
-    {"CMFSD/p0.15/rho0.05", 0x01474aaa8655e219ULL},
-    {"CMFSD/p0.15/rho0.5", 0x38db862f6a34c12eULL},
-    {"CMFSD/p0.15/rho1", 0xe68b1401dbd611a9ULL},
+    {"CMFSD/p0.15/rho0.05", 0xbcefbc5aa0f54a3bULL},
+    {"CMFSD/p0.15/rho0.5", 0xae1053bc061be0d4ULL},
+    {"CMFSD/p0.15/rho1", 0x87c330b815db41bcULL},
     {"MTCD/p0.5", 0x65e49e4e8d506238ULL},
     {"MTSD/p0.5", 0x45f862f1dc065d23ULL},
     {"MFCD/p0.5", 0x65e49e4e8d506238ULL},
-    {"CMFSD/p0.5/rho0.05", 0x2b5a9f9f35ed5919ULL},
-    {"CMFSD/p0.5/rho0.5", 0x0412abd421743641ULL},
-    {"CMFSD/p0.5/rho1", 0x3b262de9e7a5907aULL},
+    {"CMFSD/p0.5/rho0.05", 0xd2b2501975e6c05aULL},
+    {"CMFSD/p0.5/rho0.5", 0x25b5a5277da982f4ULL},
+    {"CMFSD/p0.5/rho1", 0xa4369c962abbd648ULL},
     {"MTCD/p0.95", 0xddd9deb0d28dc6f3ULL},
     {"MTSD/p0.95", 0x6eb2bb9f871b1ab0ULL},
     {"MFCD/p0.95", 0xddd9deb0d28dc6f3ULL},
-    {"CMFSD/p0.95/rho0.05", 0xec9cd1219ab88178ULL},
-    {"CMFSD/p0.95/rho0.5", 0xd7ae1b2b80a4b8ccULL},
-    {"CMFSD/p0.95/rho1", 0x352c981aa0a2adbdULL},
+    {"CMFSD/p0.95/rho0.05", 0xe6783b539bcba308ULL},
+    {"CMFSD/p0.95/rho0.5", 0x9575b82d19791a30ULL},
+    {"CMFSD/p0.95/rho1", 0x5b2523dd7350752dULL},
     {"MTCD/p0.5/diurnal", 0x1f9f07d800cf094aULL},
-    {"CMFSD/p0.5/rho0.3/flash", 0x78b7da02e3675fe1ULL},
+    {"CMFSD/p0.5/rho0.3/flash", 0x072a01071eca088cULL},
     {"MTCD/K1", 0xbd2665b0f077412aULL},
-    {"CMFSD/K1", 0xe312cb4f43c10d4bULL},
+    {"CMFSD/K1", 0xacad4a8e5a6f0870ULL},
 };
 // clang-format on
 
