@@ -28,10 +28,10 @@ namespace {
 // goes to RODAS3. The test fires on a step that sits on the stability
 // bound, and a trial that does not pay goes back to dopri5 at its first
 // short proposal (kImplicitGain), so a few firings suffice. Hairer's
-// DOPRI5 waits for 15, which on the fluid-sweep grid (K = 20, horizon
-// 40000) kept CMFSD and MTCD on dopri5 for about 1000 and 2000 more time
-// units, and MTSD (whose test fires on about one step in two) on dopri5
-// throughout.
+// DOPRI5 waits for 15. On the seed-1 fluid-sweep grid (K = 20, horizon
+// 40000) that moves the first handoff later by about 3600 time units for
+// CMFSD's lumped system (from t = 5400 on average), 800 for MTCD and
+// MFCD (from t = 18000) and 3100 for MTSD (from t = 2400).
 constexpr std::size_t kStiffSteps = 3;
 constexpr std::size_t kCalmSteps = 3;
 
