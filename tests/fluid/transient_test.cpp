@@ -132,9 +132,11 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
   // edges steps over a pulse of width 1 or 3 and misses its crowd (the
   // readout then lands ~1% off). The reference is split the same way and
   // caps every step at 0.05. CMFSD's lumped state keeps one seed total
-  // where the packed one kept a row per class; its samples read up to
-  // 3.1e-9 off (its stage profiles 1.7e-9, the packed rows 1.3e-9), so
-  // CMFSD is held to 4e-9 and the others to 2e-9.
+  // where the packed one kept a row per class. That total reads up to
+  // 3.1e-9 off in the relaxed stretches before and after the pulse, not
+  // at it, where the packed state's worst row read 1.3e-9 and its seed
+  // total 6.3e-10 (the lumped stage profiles read 1.7e-9). So CMFSD is
+  // held to 4e-9 and the others to 2e-9.
   const CorrelationModel corr(5, 0.9, 1.0);
   const CmfsdModel cmfsd(kPaperParams, corr.system_entry_rates(), 0.3);
   for (const double width : {1.0, 3.0, 10.0}) {
