@@ -65,7 +65,7 @@ struct Attempt {
 inline constexpr double kMaxTimeoutS = 7.0 * 24.0 * 3600.0;
 
 /// Throws btmf::ConfigError unless timeout_s is finite and at most
-/// kMaxTimeoutS. Any value <= 0, which means no deadline, passes.
+/// kMaxTimeoutS. Any finite value <= 0, which means no deadline, passes.
 void check_deadline(double timeout_s);
 
 /// Maps the in-flight exception to a Failure. Call from inside a catch

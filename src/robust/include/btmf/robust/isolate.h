@@ -39,7 +39,7 @@ namespace btmf::robust {
 /// Whether fork-based isolation works on this platform/build.
 [[nodiscard]] bool isolation_supported();
 
-/// Runs `fn` in a forked child. timeout_s <= 0 means no deadline.
+/// Runs `fn` in a forked child. A finite timeout_s <= 0 means no deadline.
 /// Returns kCrash when the child dies on a signal or exits without a
 /// parseable report, kTimeout when the deadline passes (child SIGKILLed),
 /// otherwise the child's own classified failure or its values.

@@ -23,10 +23,10 @@ namespace btmf::robust {
 
 struct SupervisorOptions {
   /// Per-attempt wall-clock deadline in seconds, at most kMaxTimeoutS
-  /// (one week); <= 0 disables it. An attempt still running at the
-  /// deadline is kTimeout in both modes: with isolate the child is
-  /// SIGKILLed (hard preemption), in-process the worker thread is
-  /// abandoned to finish on its own.
+  /// (one week); any finite value <= 0 disables it. An attempt still
+  /// running at the deadline is kTimeout in both modes: with isolate the
+  /// child is SIGKILLed (hard preemption), in-process the worker thread
+  /// is abandoned to finish on its own.
   double timeout_s = 0.0;
   /// Run every attempt in a forked worker subprocess (--isolate): crashes
   /// are contained and reported as kCrash instead of killing the sweep.

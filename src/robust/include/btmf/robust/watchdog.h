@@ -18,7 +18,7 @@
 
 namespace btmf::robust {
 
-/// Runs `fn` with a wall-clock deadline. timeout_s <= 0 disables the
+/// Runs `fn` with a wall-clock deadline. A finite timeout_s <= 0 disables the
 /// watchdog entirely: `fn` runs inline on the calling thread (no worker
 /// thread — zero overhead, identical to unsupervised code). With a
 /// deadline, `fn` runs on a worker thread; if it has not returned by the
