@@ -9,9 +9,8 @@
 // initial-condition injection). We track the total downloader population
 // under CMFSD at several rho and report the crowd drain metrics: the
 // peak population, the time until 95% of the crowd mass is gone, and the
-// time until both population totals, downloaders and seeds, settle
-// within 2% at the long-run steady state (the pulse ends, so the system
-// returns to the autonomous equilibrium).
+// time to settle at the long-run steady state (the pulse ends, so the
+// system returns to the autonomous equilibrium).
 #include <cmath>
 
 #include "bench_util.h"
@@ -68,40 +67,48 @@ int bench_main(int argc, char** argv) {
 
   for (const double rho : {0.0, 0.5, 1.0}) {
     const fluid::CmfsdModel model(fluid::kPaperParams, rates, rho);
-    const fluid::TransientSeries series = fluid::sample_trajectory(
+    const fluid::TransientSeries lumped = fluid::sample_trajectory(
         model.system(burst), std::vector<double>(model.lumped_size(), 0.0),
         options);
-    // The population totals per sample: downloaders, then seeds.
-    fluid::TransientSeries totals;
-    totals.times = series.times;
-    for (const std::vector<double>& state : series.states) {
-      totals.states.push_back(
-          {model.lumped_downloaders(state), model.lumped_seeds(state)});
+    // Every (class, stage) population and seed row per sample.
+    fluid::TransientSeries series;
+    series.times = lumped.times;
+    for (const std::vector<double>& state : lumped.states) {
+      series.states.push_back(model.packed_state(state));
     }
-    const auto downloaders = [](std::span<const double> total) {
-      return total[0];
+    const auto total_downloaders = [&](std::span<const double> state) {
+      double total = 0.0;
+      for (unsigned i = 1; i <= k; ++i)
+        for (unsigned j = 1; j <= i; ++j)
+          total += state[model.x_index(i, j)];
+      return total;
     };
 
     const fluid::CmfsdEquilibrium eq = model.solve();
-    const double steady = eq.total_downloaders;
+    const double steady = [&] {
+      double total = 0.0;
+      for (unsigned i = 1; i <= k; ++i)
+        for (unsigned j = 1; j <= i; ++j)
+          total += eq.state[model.x_index(i, j)];
+      return total;
+    }();
 
     // 95% of the crowd mass above steady state has drained.
     const double threshold = steady + 0.05 * crowd;
     double drained_at = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < totals.times.size(); ++s) {
-      if (totals.times[s] > burst.width &&
-          totals.states[s][0] <= threshold) {
-        drained_at = totals.times[s];
+    const std::vector<double> totals = series.map(total_downloaders);
+    for (std::size_t s = 0; s < totals.size(); ++s) {
+      if (series.times[s] > burst.width && totals[s] <= threshold) {
+        drained_at = series.times[s];
         break;
       }
     }
-    const double settle = fluid::settling_time(
-        totals, std::vector<double>{steady, eq.total_seeds}, 0.02);
+    const double settle = fluid::settling_time(series, eq.state, 0.02);
 
     const std::string label =
         rho == 1.0 ? "CMFSD rho=1 (= MFCD behaviour)"
                    : "CMFSD rho=" + util::format_double(rho, 3);
-    table.add_row({label, fluid::peak_value(totals, downloaders),
+    table.add_row({label, fluid::peak_value(series, total_downloaders),
                    drained_at, settle, steady});
   }
 

@@ -56,17 +56,22 @@
 // classes whose rho is c: P(i,1) = 1 makes the first stage's profile
 // phi_1 common to every class, and each distinct rho among the classes
 // 2..K that enter (lambda_i > 0) keeps one tail chain phi^c_2..phi^c_J,
-// J its largest class. system() integrates
-//     [phi_1, chain 1 (phi_2..phi_J), chain 2, ..., Y = sum_i y^i],
+// J its largest class. The seeds keep their packed rows: y^i takes
+// lambda_i times the outflow of class i's last stage. system() integrates
+//     [phi_1, chain 1 (phi_2..phi_J), chain 2, ..., y^1, ..., y^K],
 // chains in the order of their first class. A scalar rho is one chain
-// (K + 1 states against the packed K (K + 3) / 2); all values distinct
+// (2K states against the packed K (K + 3) / 2); all values distinct
 // gives each class its own chain, the packed stages with phi_1 shared.
-// The readouts take that state: class i's download time is
-// phi_1 + phi^c_2 + ... + phi^c_i (Little's law, lambda_i cancels), the
-// downloaders are sum over stages of phi times the rate of the classes
-// on that stage, and the seeds are Y. rhs() keeps the packed layout,
-// the independent form solve() certifies against. docs/MODELS.md §6
-// derives the lumping, §6a the stage solve.
+// The seeds stay per class: integrated at rtol 1e-9, one seed total in
+// their place read up to 3.1e-9 off a fine reference in the relaxed
+// stretches of a pulsed trajectory, the rows' sum 4.8e-10
+// (EXPERIMENTS.md P14). The readouts take that state: class i's
+// download time is phi_1 + phi^c_2 + ... + phi^c_i (Little's law,
+// lambda_i cancels), the downloaders are sum over stages of phi times
+// the rate of the classes on that stage, and the seeds are sum_i y^i;
+// packed_state() expands it. rhs() keeps the packed layout, the
+// independent form solve() certifies against. docs/MODELS.md §6 derives
+// the lumping, §6a the stage solve.
 
 #pragma once
 
@@ -133,10 +138,11 @@ class CmfsdModel {
   /// mass, Y the seeds and the pool rate S = mu (D + Y) / X, the Jacobian
   /// is J = J0 + u g^T: J0 is lower triangular in the layout's order
   /// (each stage feeds the next along its chain, phi_1 feeds every
-  /// chain's head, and every stage a class leaves from feeds Y), u is
+  /// chain's head, and the stage class i leaves from feeds y^i), u is
   /// the profile drop along the chains (phi_{s-1} - phi_s, -phi_1 at the
-  /// first stage) and the leaving mass on Y, and g = grad S. The solve
-  /// substitutes down the chains and adds the Sherman–Morrison term.
+  /// first stage) and lambda_i times that last stage's phi on y^i, and
+  /// g = grad S. The solve substitutes down the chains and adds the
+  /// Sherman–Morrison term.
   /// With no downloaders (X = 0) the right-hand side sets S = 0, and so
   /// does J.
   [[nodiscard]] math::OdeSystem system(
@@ -153,6 +159,10 @@ class CmfsdModel {
       std::span<const double> lumped) const;
   /// Total seeds, sum y^i, of a state of system().
   [[nodiscard]] double lumped_seeds(std::span<const double> lumped) const;
+  /// The packed state {x^{i,j} = lambda_i phi^c_j}, {y^i} of a state of
+  /// system().
+  [[nodiscard]] std::vector<double> packed_state(
+      std::span<const double> lumped) const;
 
   /// The steady state, as the root of the scalar pool-rate equation (see
   /// the file comment). The point must satisfy the full RHS to a scaled

@@ -51,17 +51,18 @@ namespace detail {
 
 /// system()'s lumped layout (cmfsd.h): stage 0 is phi_1, chain c holds
 /// stages start[c] .. start[c + 1] - 1 (its files 2, 3, ...), and the
-/// seeds Y sit at start.back().
+/// seed rows y^1..y^K follow from start.back().
 struct CmfsdChains {
   double mu = 0.0;
   double gamma = 0.0;
   double head_tft = 0.0;             ///< mu eta: phi_1's TFT rate (P = 1)
   std::vector<double> tft;           ///< per chain: mu eta rho
   std::vector<double> donation;      ///< per chain: 1 - rho
-  std::vector<std::size_t> start;    ///< per chain: first stage; then Y
+  std::vector<std::size_t> start;    ///< per chain: first stage; then y^1
   std::vector<double> weight;        ///< per stage: rate of its classes
-  std::vector<double> leaving;       ///< per stage: rate of those it ends
+  std::vector<double> rate;          ///< per class: lambda_i
   std::vector<std::size_t> chain;    ///< per class: its chain
+  std::vector<std::size_t> last;     ///< per class: the stage it leaves
 
   [[nodiscard]] std::size_t seeds() const { return start.back(); }
 
@@ -79,6 +80,15 @@ struct CmfsdChains {
       donated += donation[c] * mass;
     }
   }
+
+  /// Y = sum y^i of a lumped state.
+  [[nodiscard]] double seed_total(std::span<const double> state) const {
+    double y_total = 0.0;
+    for (std::size_t i = 0; i < rate.size(); ++i) {
+      y_total += state[seeds() + i];
+    }
+    return y_total;
+  }
 };
 
 }  // namespace detail
@@ -86,7 +96,8 @@ struct CmfsdChains {
 namespace {
 
 /// Groups the entering classes 2..K by rho into chains, in the order of
-/// their first class, and sums the rates each stage carries.
+/// their first class, sums the rates each stage carries and notes the
+/// stage each class leaves from.
 std::shared_ptr<const detail::CmfsdChains> lump(
     const FluidParams& params, const std::vector<double>& rates,
     const std::vector<double>& rho) {
@@ -117,15 +128,15 @@ std::shared_ptr<const detail::CmfsdChains> lump(
   }
   c->start.push_back(next);
   c->weight.assign(next, 0.0);
-  c->leaving.assign(next, 0.0);
-  c->leaving[0] = rates[0];
+  c->rate = rates;
+  c->last.assign(rates.size(), 0);
   for (std::size_t i = 0; i < rates.size(); ++i) {
     c->weight[0] += rates[i];
     if (c->chain[i] == kNoChain) continue;
     // Class i + 1 walks its chain's stages for files 2 .. i + 1.
     const std::size_t first = c->start[c->chain[i]];
     for (std::size_t s = first; s < first + i; ++s) c->weight[s] += rates[i];
-    c->leaving[first + i - 1] = rates[i];
+    c->last[i] = first + i - 1;
   }
   return c;
 }
@@ -138,7 +149,7 @@ class LumpedStages final : public math::StageSolver {
  public:
   explicit LumpedStages(std::shared_ptr<const detail::CmfsdChains> chains)
       : c_(std::move(chains)), out_(c_->tft.size()), inv_(c_->tft.size()),
-        q_(c_->seeds() + 1), g_(q_.size()) {}
+        q_(c_->seeds() + c_->rate.size()), g_(q_.size()) {}
 
   void factor(double /*t*/, std::span<const double> state,
               double c) override {
@@ -147,9 +158,10 @@ class LumpedStages final : public math::StageSolver {
     double x_total = 0.0;
     double donated = 0.0;
     ch.totals(state, x_total, donated);
+    const double y_total = ch.seed_total(state);
     const bool pooled = x_total > 0.0;
     const double pool_rate =
-        pooled ? ch.mu * (donated + state[seeds]) / x_total : 0.0;
+        pooled ? ch.mu * (donated + y_total) / x_total : 0.0;
 
     head_out_ = ch.head_tft + pool_rate;
     head_inv_ = 1.0 / (c + head_out_);
@@ -161,21 +173,21 @@ class LumpedStages final : public math::StageSolver {
     coupled_ = pooled;
     if (!pooled) return;
     // u = dF/dS: the profile drop along each chain (its head is fed by
-    // phi_1), and on Y the mass leaving from every stage.
+    // phi_1), and on each y^i the mass its class leaves with.
     q_[0] = -state[0];
     g_[0] = -pool_rate * ch.weight[0] / x_total;
-    double leaving = ch.leaving[0] * state[0];
     for (std::size_t k = 0; k < out_.size(); ++k) {
       double upstream = state[0];
       for (std::size_t s = ch.start[k]; s < ch.start[k + 1]; ++s) {
         q_[s] = upstream - state[s];
         g_[s] = ch.weight[s] * (ch.mu * ch.donation[k] - pool_rate) / x_total;
-        leaving += ch.leaving[s] * state[s];
         upstream = state[s];
       }
     }
-    q_[seeds] = leaving;
-    g_[seeds] = ch.mu / x_total;
+    for (std::size_t i = 0; i < ch.rate.size(); ++i) {
+      q_[seeds + i] = ch.rate[i] * state[ch.last[i]];
+      g_[seeds + i] = ch.mu / x_total;
+    }
     chain_solve(q_);
     const double gq = math::dot(g_, q_);
     denominator_ = 1.0 - gq;
@@ -188,22 +200,25 @@ class LumpedStages final : public math::StageSolver {
   }
 
  private:
-  /// (c I - J0)^{-1} r: phi_1, then down each chain, then Y.
+  /// (c I - J0)^{-1} r: phi_1, then down each chain, then each y^i.
   void chain_solve(std::span<double> r) const {
     const detail::CmfsdChains& ch = *c_;
     r[0] *= head_inv_;
     const double head_flow = head_out_ * r[0];
-    double leaving = ch.leaving[0] * head_flow;
     for (std::size_t k = 0; k < out_.size(); ++k) {
       double inflow = head_flow;  // out_{s-1} z_{s-1}
       for (std::size_t s = ch.start[k]; s < ch.start[k + 1]; ++s) {
         r[s] = (r[s] + inflow) * inv_[k];
         inflow = out_[k] * r[s];
-        leaving += ch.leaving[s] * inflow;
       }
     }
     const std::size_t seeds = ch.seeds();
-    r[seeds] = (r[seeds] + leaving) * inv_y_;
+    for (std::size_t i = 0; i < ch.rate.size(); ++i) {
+      const double out =
+          ch.chain[i] == kNoChain ? head_out_ : out_[ch.chain[i]];
+      r[seeds + i] =
+          (r[seeds + i] + ch.rate[i] * (out * r[ch.last[i]])) * inv_y_;
+    }
   }
 
   std::shared_ptr<const detail::CmfsdChains> c_;
@@ -222,12 +237,8 @@ class LumpedStages final : public math::StageSolver {
 
 CmfsdModel::CmfsdModel(const FluidParams& params,
                        std::vector<double> class_entry_rates, double rho)
-    : CmfsdModel(params, std::move(class_entry_rates),
-                 std::vector<double>{}) {
-  validate_rho(rho);
-  rho_.assign(num_classes_, rho);
-  chains_ = lump(params_, rates_, rho_);
-}
+    : CmfsdModel(params, class_entry_rates,
+                 std::vector<double>(class_entry_rates.size(), rho)) {}
 
 CmfsdModel::CmfsdModel(const FluidParams& params,
                        std::vector<double> class_entry_rates,
@@ -245,7 +256,7 @@ CmfsdModel::CmfsdModel(const FluidParams& params,
   BTMF_CHECK_MSG(total > 0.0, "at least one class entry rate must be positive");
   if (rho_.empty()) {
     // An empty vector means "no virtual seeding anywhere" (rho = 1), the
-    // MFCD-like default; the uniform-rho constructor overwrites this.
+    // MFCD-like default.
     rho_.assign(rates_.size(), 1.0);
   } else {
     BTMF_CHECK_MSG(rho_.size() == rates_.size(),
@@ -342,42 +353,50 @@ math::OdeRhs CmfsdModel::rhs(const ArrivalProcess& arrival) const {
 math::OdeSystem CmfsdModel::system(const ArrivalProcess& arrival) const {
   arrival.validate();
   math::OdeSystem ode;
-  // Per unit of entry rate: phi_1 takes m(t), every stage passes its
-  // outflow on along its chain, and each class leaves for Y from its
-  // last stage.
+  // Per unit of entry rate: phi_1 takes m(t) and every stage passes its
+  // outflow on along its chain. Class i's seed row y^i takes lambda_i
+  // times the outflow of its last stage.
   ode.rhs = [c = chains_, arrival, homogeneous = arrival.homogeneous()](
                 double t, std::span<const double> state,
                 std::span<double> dstate) {
-    BTMF_ASSERT(state.size() == c->seeds() + 1);
+    BTMF_ASSERT(state.size() == c->seeds() + c->rate.size());
     BTMF_ASSERT(dstate.size() == state.size());
     double x_total = 0.0;
     double donated = 0.0;
     c->totals(state, x_total, donated);
-    const double y_total = state[c->seeds()];
+    const double y_total = c->seed_total(state);
     const double pool_rate =
         x_total > 0.0 ? c->mu * (donated + y_total) / x_total : 0.0;
 
-    const double head_out = (c->head_tft + pool_rate) * state[0];
+    const double head_rate = c->head_tft + pool_rate;
+    const double head_out = head_rate * state[0];
     dstate[0] = (homogeneous ? 1.0 : arrival.rate_at(1.0, t)) - head_out;
-    double leaving = c->leaving[0] * head_out;
     for (std::size_t k = 0; k + 1 < c->start.size(); ++k) {
       const double rate = c->tft[k] + pool_rate;
       double inflow = head_out;
       for (std::size_t s = c->start[k]; s < c->start[k + 1]; ++s) {
         const double outflow = rate * state[s];
         dstate[s] = inflow - outflow;
-        leaving += c->leaving[s] * outflow;
         inflow = outflow;
       }
     }
-    dstate[c->seeds()] = leaving - c->gamma * y_total;
+    const std::size_t seeds = c->seeds();
+    for (std::size_t i = 0; i < c->rate.size(); ++i) {
+      const double rate = c->chain[i] == kNoChain
+                              ? head_rate
+                              : c->tft[c->chain[i]] + pool_rate;
+      dstate[seeds + i] = c->rate[i] * (rate * state[c->last[i]]) -
+                          c->gamma * state[seeds + i];
+    }
   };
   ode.stages = [c = chains_] { return std::make_unique<LumpedStages>(c); };
   ode.autonomous = arrival.homogeneous();
   return ode;
 }
 
-std::size_t CmfsdModel::lumped_size() const { return chains_->seeds() + 1; }
+std::size_t CmfsdModel::lumped_size() const {
+  return chains_->seeds() + num_classes_;
+}
 
 std::vector<double> CmfsdModel::lumped_download_times(
     std::span<const double> lumped) const {
@@ -399,7 +418,8 @@ std::vector<double> CmfsdModel::lumped_download_times(
 }
 
 double CmfsdModel::lumped_downloaders(std::span<const double> lumped) const {
-  BTMF_ASSERT(lumped.size() == lumped_size());
+  BTMF_CHECK_MSG(lumped.size() == lumped_size(),
+                 "lumped_downloaders: state size mismatch");
   double x_total = 0.0;
   double donated = 0.0;
   chains_->totals(lumped, x_total, donated);
@@ -407,8 +427,28 @@ double CmfsdModel::lumped_downloaders(std::span<const double> lumped) const {
 }
 
 double CmfsdModel::lumped_seeds(std::span<const double> lumped) const {
-  BTMF_ASSERT(lumped.size() == lumped_size());
-  return lumped[chains_->seeds()];
+  BTMF_CHECK_MSG(lumped.size() == lumped_size(),
+                 "lumped_seeds: state size mismatch");
+  return chains_->seed_total(lumped);
+}
+
+std::vector<double> CmfsdModel::packed_state(
+    std::span<const double> lumped) const {
+  BTMF_CHECK_MSG(lumped.size() == lumped_size(),
+                 "packed_state: state size mismatch");
+  const detail::CmfsdChains& c = *chains_;
+  std::vector<double> packed(state_size(), 0.0);
+  for (unsigned i = 1; i <= num_classes_; ++i) {
+    packed[y_index(i)] = lumped[c.seeds() + i - 1];
+    const double rate = rates_[i - 1];
+    if (!(rate > 0.0)) continue;
+    // x^{i,j} = lambda_i phi_j, phi_2.. from the class's chain.
+    packed[x_index(i, 1)] = rate * lumped[0];
+    for (unsigned j = 2; j <= i; ++j) {
+      packed[x_index(i, j)] = rate * lumped[c.start[c.chain[i - 1]] + j - 2];
+    }
+  }
+  return packed;
 }
 
 CmfsdEquilibrium CmfsdModel::solve() const {

@@ -50,7 +50,7 @@ struct ScenarioSpec {
   unsigned num_files = 10;            ///< K, from 1 to kMaxFiles
   /// The most files a scenario may hold. The fluid backends size their
   /// state from K before the first step (CMFSD's steady state holds
-  /// K(K+3)/2 states, and its transient up to K(K-1)/2 + 2 with a rho per
+  /// K(K+3)/2 states, and its transient up to K(K+1)/2 + 1 with a rho per
   /// class), so K = 100000 would ask for tens of GB. The bound is about
   /// twice the largest K any caller uses (33).
   static constexpr unsigned kMaxFiles = 64;
@@ -92,8 +92,8 @@ struct ScenarioSpec {
   std::size_t transient_samples = 200;
   /// The most samples a trajectory may hold. Every sample is one state
   /// vector, allocated before the first step, so the count sizes memory
-  /// up front: 10^7 samples of K = 20 CMFSD with a rho per class (192
-  /// states) would ask for about 15 GB. The bound is 50 times the default
+  /// up front: 10^7 samples of K = 20 CMFSD with a rho per class (211
+  /// states) would ask for about 17 GB. The bound is 50 times the default
   /// and 5 times the largest count any caller uses.
   static constexpr std::size_t kMaxTransientSamples = 10'000;
 

@@ -42,27 +42,29 @@ TEST(CmfsdTest, StateLayoutIsPackedTriangle) {
 
 TEST(CmfsdTest, LumpedLayoutKeepsOneChainPerRho) {
   // phi_1, one tail chain per distinct rho among the entering classes
-  // 2..K (as long as its largest class needs), then Y.
+  // 2..K (as long as its largest class needs), then one seed row per
+  // class.
   const auto rates = paper_rates(0.5);
-  EXPECT_EQ(CmfsdModel(kPaperParams, rates, 0.5).lumped_size(), 11u);
+  EXPECT_EQ(CmfsdModel(kPaperParams, rates, 0.5).lumped_size(), 20u);
   std::vector<double> split(10, 0.2);
   for (unsigned i = 5; i < 10; ++i) split[i] = 1.0;
   // Classes 2..5 share a chain of 4 stages, classes 6..10 one of 9.
-  EXPECT_EQ(CmfsdModel(kPaperParams, rates, split).lumped_size(), 15u);
+  EXPECT_EQ(CmfsdModel(kPaperParams, rates, split).lumped_size(),
+            1u + 4u + 9u + 10u);
   std::vector<double> distinct(10);
   for (unsigned i = 0; i < 10; ++i) distinct[i] = 0.1 * i;
   EXPECT_EQ(CmfsdModel(kPaperParams, rates, distinct).lumped_size(),
-            2u + 9u * 10u / 2u);
+            1u + 9u * 10u / 2u + 10u);
   EXPECT_EQ(CmfsdModel(kPaperParams, {2.0}, 0.5).lumped_size(), 2u);
   // Classes that never enter join no chain.
   EXPECT_EQ(CmfsdModel(kPaperParams, {0.5, 0.0, 0.0, 0.0}, distinct.front())
                 .lumped_size(),
-            2u);
+            1u + 4u);
   EXPECT_EQ(
       CmfsdModel(kPaperParams, {0.0, 0.3, 0.0, 0.2},
                  std::vector<double>{0.0, 0.4, 0.4, 0.7})
           .lumped_size(),
-      1u + 1u + 3u + 1u);
+      1u + 1u + 3u + 4u);
 }
 
 TEST(CmfsdTest, BandwidthSplitImplementsP) {
@@ -385,6 +387,21 @@ TEST(CmfsdTest, LumpedChainsMatchThePackedSystem) {
                      "class " + std::to_string(i + 1));
       }
     }
+    // The expansion of the last state, population by population.
+    const std::vector<double> expanded =
+        c.model.packed_state(lumped.states.back());
+    ASSERT_EQ(expanded.size(), c.model.state_size()) << c.name;
+    for (unsigned i = 1; i <= c.model.num_classes(); ++i) {
+      if (!(lambda[i - 1] > 1e-6 * busiest)) continue;
+      const std::string label = " of class " + std::to_string(i);
+      for (unsigned j = 1; j <= i; ++j) {
+        const std::size_t v = c.model.x_index(i, j);
+        expect_close(expanded[v], packed.states.back()[v],
+                     "stage " + std::to_string(j) + label);
+      }
+      const std::size_t v = c.model.y_index(i);
+      expect_close(expanded[v], packed.states.back()[v], "seeds" + label);
+    }
     const std::size_t stages = c.model.state_size() - c.model.num_classes();
     for (std::size_t s = 0; s < packed.states.size(); ++s) {
       const std::vector<double>& x = packed.states[s];
@@ -426,6 +443,20 @@ TEST(CmfsdTest, MetricsFromStateValidatesSize) {
   const CmfsdModel model(kPaperParams, paper_rates(0.5), 0.5);
   EXPECT_THROW((void)model.metrics_from_state(std::vector<double>(3, 0.0)),
                ConfigError);
+}
+
+TEST(CmfsdTest, LumpedReadoutsValidateSize) {
+  // A packed state is not a state of system(), in any build type.
+  const CmfsdModel model(kPaperParams, paper_rates(0.5), 0.5);
+  const std::vector<double> packed(model.state_size(), 0.0);
+  EXPECT_THROW((void)model.lumped_download_times(packed), ConfigError);
+  EXPECT_THROW((void)model.lumped_downloaders(packed), ConfigError);
+  EXPECT_THROW((void)model.lumped_seeds(packed), ConfigError);
+  EXPECT_THROW((void)model.packed_state(packed), ConfigError);
+  const std::vector<double> empty(model.lumped_size(), 0.0);
+  EXPECT_EQ(model.lumped_downloaders(empty), 0.0);
+  EXPECT_EQ(model.lumped_seeds(empty), 0.0);
+  EXPECT_EQ(model.packed_state(empty), packed);
 }
 
 TEST(CmfsdTest, ZeroRateClassHasNaNMetrics) {

@@ -157,23 +157,26 @@ TEST(StageSolveTest, MatchesDenseSolveAtTheEmptyState) {
   const CmfsdModel donating(kPaperParams, rates, 0.4);
   const math::OdeSystem ode = donating.system();
   const std::unique_ptr<math::StageSolver> stages = ode.stages();
-  ASSERT_EQ(donating.lumped_size(), 4u);  // phi_1, phi_2, phi_3, Y
-  std::vector<double> r(4, 1.0);
-  stages->factor(0.0, std::vector<double>(4, 0.0), 1.0);
+  // phi_1, phi_2, phi_3, y^1, y^2, y^3
+  ASSERT_EQ(donating.lumped_size(), 6u);
+  std::vector<double> r(6, 1.0);
+  stages->factor(0.0, std::vector<double>(6, 0.0), 1.0);
   stages->solve(r);
   const double tft = kPaperParams.mu * kPaperParams.eta;
-  // The chain: P = 1, rho, rho; each class leaves for Y from its last
-  // file, and Y's row is gamma.
-  const double z1 = 1.0 / (1.0 + tft);
-  const double z2 = (1.0 + tft * z1) / (1.0 + 0.4 * tft);
-  const double z3 = (1.0 + 0.4 * tft * z2) / (1.0 + 0.4 * tft);
-  const double zy = (1.0 + rates[0] * tft * z1 + rates[1] * 0.4 * tft * z2 +
-                     rates[2] * 0.4 * tft * z3) /
-                    (1.0 + kPaperParams.gamma);
-  EXPECT_NEAR(r[0], z1, 1e-15);
-  EXPECT_NEAR(r[1], z2, 1e-15);
-  EXPECT_NEAR(r[2], z3, 1e-15);
-  EXPECT_NEAR(r[3], zy, 1e-15);
+  // The chain: P = 1, rho, rho. Class i leaves for y^i from file i, and
+  // the seed rows are gamma.
+  double z[] = {1.0 / (1.0 + tft), 0.0, 0.0};
+  const double out[] = {tft, 0.4 * tft, 0.4 * tft};
+  for (std::size_t j = 1; j < 3; ++j) {
+    z[j] = (1.0 + out[j - 1] * z[j - 1]) / (1.0 + out[j]);
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(r[i], z[i], 1e-15) << "phi_" << i + 1;
+    EXPECT_NEAR(r[3 + i],
+                (1.0 + rates[i] * out[i] * z[i]) / (1.0 + kPaperParams.gamma),
+                1e-15)
+        << "y^" << i + 1;
+  }
 }
 
 TEST(StageSolveTest, OverflowingPoolRateFailsTypedNotWithNaN) {
@@ -184,7 +187,7 @@ TEST(StageSolveTest, OverflowingPoolRateFailsTypedNotWithNaN) {
   const CmfsdModel cmfsd(kPaperParams, corr.system_entry_rates(), 0.4);
   std::vector<double> y(cmfsd.lumped_size(), 0.0);
   y[1] = 1e-310;  // phi_2
-  y.back() = 5.0;  // Y
+  y[3] = 5.0;      // y^1
   EXPECT_THROW(cmfsd.system().stages()->factor(0.0, y, 1.0), SolverError);
 
   const math::OdeSystem mtcd =

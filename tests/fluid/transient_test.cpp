@@ -131,12 +131,7 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
   // tens of time units, so a trajectory that is not split at the pulse
   // edges steps over a pulse of width 1 or 3 and misses its crowd (the
   // readout then lands ~1% off). The reference is split the same way and
-  // caps every step at 0.05. CMFSD's lumped state keeps one seed total
-  // where the packed one kept a row per class. That total reads up to
-  // 3.1e-9 off in the relaxed stretches before and after the pulse, not
-  // at it, where the packed state's worst row read 1.3e-9 and its seed
-  // total 6.3e-10 (the lumped stage profiles read 1.7e-9). So CMFSD is
-  // held to 4e-9 and the others to 2e-9.
+  // caps every step at 0.05.
   const CorrelationModel corr(5, 0.9, 1.0);
   const CmfsdModel cmfsd(kPaperParams, corr.system_entry_rates(), 0.3);
   for (const double width : {1.0, 3.0, 10.0}) {
@@ -149,16 +144,14 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
       const char* scheme;
       math::OdeSystem ode;
       std::size_t size;
-      double bound;
     } systems[] = {
         {"MTSD",
          single_torrent_system(kPaperParams, corr.per_torrent_total_rate(),
                                pulse),
-         2, 2e-9},
+         2},
         {"MTCD",
-         mtcd_system(kPaperParams, corr.per_torrent_entry_rates(), pulse), 10,
-         2e-9},
-        {"CMFSD", cmfsd.system(pulse), cmfsd.lumped_size(), 4e-9},
+         mtcd_system(kPaperParams, corr.per_torrent_entry_rates(), pulse), 10},
+        {"CMFSD", cmfsd.system(pulse), cmfsd.lumped_size()},
     };
     for (const auto& system : systems) {
       TransientOptions options;
@@ -182,7 +175,7 @@ TEST(TransientTest, SplitAtPulseEdgesSeesPulsesNarrowerThanTheStep) {
                                       (1.0 + std::abs(want)));
         }
       }
-      EXPECT_LT(worst, system.bound) << system.scheme << " width " << width;
+      EXPECT_LT(worst, 2e-9) << system.scheme << " width " << width;
     }
   }
 }
@@ -224,16 +217,10 @@ TEST(TransientTest, StiffTailGoesToTheImplicitStepperUnlessMaxDtHoldsIt) {
   EXPECT_GT(factors, 0u);
   EXPECT_LT(factors, options.samples);
   const CmfsdEquilibrium eq = model.solve();
-  const std::vector<double>& end = series.states.back();
-  const std::vector<double> download = model.lumped_download_times(end);
-  for (std::size_t i = 0; i < download.size(); ++i) {
-    const double want = eq.metrics.download_time[i];
-    EXPECT_NEAR(download[i], want, 1e-8 * (1.0 + want)) << "class " << i + 1;
+  const std::vector<double> end = model.packed_state(series.states.back());
+  for (std::size_t c = 0; c < eq.state.size(); ++c) {
+    EXPECT_NEAR(end[c], eq.state[c], 1e-8 * (1.0 + eq.state[c])) << c;
   }
-  EXPECT_NEAR(model.lumped_downloaders(end), eq.total_downloaders,
-              1e-8 * (1.0 + eq.total_downloaders));
-  EXPECT_NEAR(model.lumped_seeds(end), eq.total_seeds,
-              1e-8 * (1.0 + eq.total_seeds));
 
   factors = 0;
   options.ode.max_dt = 10.0;

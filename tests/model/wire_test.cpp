@@ -235,11 +235,11 @@ TEST(ModelWireTest, RejectsChunkCountsAboveUintMax) {
 TEST(ModelWireTest, RejectsTransientSampleCountsAboveTheBound) {
   // The default K = 20 CMFSD spec at 10^7 samples would have the
   // fluid-transient backend allocate 230 doubles per sample, about 18 GB,
-  // before its first step on the packed state, and 21 (about 1.7 GB) on
+  // before its first step on the packed state, and 40 (about 3.2 GB) on
   // the lumped one (fluid/cmfsd.h). For a scalar rho the largest
   // transient a wire spec can ask for, K = kMaxFiles = 64 at the bound's
-  // 10,000 samples, stores 65 doubles per sample instead of 2,144
-  // (about 5 MB instead of 171 MB).
+  // 10,000 samples, stores 128 doubles per sample instead of 2,144
+  // (about 10 MB instead of 171 MB).
   ScenarioSpec spec;
   spec.num_files = 20;
   const std::string wire = encode_spec(spec);
