@@ -471,23 +471,23 @@ const PinnedBits kPinnedBits[] = {
     {"MTCD/p0.15", 0x8b9512f7c784dd3eULL},
     {"MTSD/p0.15", 0xdeee848dde8e8a1fULL},
     {"MFCD/p0.15", 0x8b9512f7c784dd3eULL},
-    {"CMFSD/p0.15/rho0.05", 0xbcefbc5aa0f54a3bULL},
-    {"CMFSD/p0.15/rho0.5", 0xae1053bc061be0d4ULL},
-    {"CMFSD/p0.15/rho1", 0x87c330b815db41bcULL},
+    {"CMFSD/p0.15/rho0.05", 0xe2fdc7b68a47994aULL},
+    {"CMFSD/p0.15/rho0.5", 0xd828f05e4a0f0300ULL},
+    {"CMFSD/p0.15/rho1", 0x54bca011d15b7a6aULL},
     {"MTCD/p0.5", 0x65e49e4e8d506238ULL},
     {"MTSD/p0.5", 0x45f862f1dc065d23ULL},
     {"MFCD/p0.5", 0x65e49e4e8d506238ULL},
-    {"CMFSD/p0.5/rho0.05", 0xd2b2501975e6c05aULL},
-    {"CMFSD/p0.5/rho0.5", 0x25b5a5277da982f4ULL},
-    {"CMFSD/p0.5/rho1", 0xa4369c962abbd648ULL},
+    {"CMFSD/p0.5/rho0.05", 0x79879a2f3a786f6aULL},
+    {"CMFSD/p0.5/rho0.5", 0xf32c69ba0d700c2aULL},
+    {"CMFSD/p0.5/rho1", 0xc98ddbf9662e230eULL},
     {"MTCD/p0.95", 0xddd9deb0d28dc6f3ULL},
     {"MTSD/p0.95", 0x6eb2bb9f871b1ab0ULL},
     {"MFCD/p0.95", 0xddd9deb0d28dc6f3ULL},
-    {"CMFSD/p0.95/rho0.05", 0xe6783b539bcba308ULL},
-    {"CMFSD/p0.95/rho0.5", 0x9575b82d19791a30ULL},
-    {"CMFSD/p0.95/rho1", 0x5b2523dd7350752dULL},
+    {"CMFSD/p0.95/rho0.05", 0x29fe22c6ece11f15ULL},
+    {"CMFSD/p0.95/rho0.5", 0x685624cbfa5b5893ULL},
+    {"CMFSD/p0.95/rho1", 0xc1380cca540f559aULL},
     {"MTCD/p0.5/diurnal", 0x1f9f07d800cf094aULL},
-    {"CMFSD/p0.5/rho0.3/flash", 0x072a01071eca088cULL},
+    {"CMFSD/p0.5/rho0.3/flash", 0x5620aca8167ab95aULL},
     {"MTCD/K1", 0xbd2665b0f077412aULL},
     {"CMFSD/K1", 0xacad4a8e5a6f0870ULL},
 };
