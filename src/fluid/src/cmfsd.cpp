@@ -62,7 +62,7 @@ struct CmfsdChains {
   std::vector<double> weight;        ///< per stage: rate of its classes
   std::vector<double> rate;          ///< per class: lambda_i
   std::vector<std::size_t> chain;    ///< per class: its chain
-  std::vector<std::size_t> last;     ///< per class: the stage it leaves
+  std::vector<std::size_t> last;     ///< per class: the stage it leaves from
 
   [[nodiscard]] std::size_t seeds() const { return start.back(); }
 

@@ -29,8 +29,8 @@ namespace {
 // bound, and a trial that does not pay goes back to dopri5 at its first
 // short proposal (kImplicitGain), so a few firings suffice. Hairer's
 // DOPRI5 waits for 15. On the seed-1 fluid-sweep grid (K = 20, horizon
-// 40000) that moves the first handoff later by about 3600 time units for
-// CMFSD's lumped system (from t = 5400 on average), 800 for MTCD and
+// 40000) that moves the first handoff later by about 3300 time units for
+// CMFSD's lumped system (from t = 6100 on average), 800 for MTCD and
 // MFCD (from t = 18000) and 3100 for MTSD (from t = 2400).
 constexpr std::size_t kStiffSteps = 3;
 constexpr std::size_t kCalmSteps = 3;
