@@ -64,14 +64,14 @@
 // gives each class its own chain, the packed stages with phi_1 shared.
 // The seeds stay per class: integrated at rtol 1e-9, one seed total in
 // their place read up to 3.1e-9 off a fine reference in the relaxed
-// stretches of a pulsed trajectory, the rows' sum 4.8e-10
-// (EXPERIMENTS.md P14). The readouts take that state: class i's
-// download time is phi_1 + phi^c_2 + ... + phi^c_i (Little's law,
-// lambda_i cancels), the downloaders are sum over stages of phi times
-// the rate of the classes on that stage, and the seeds are sum_i y^i;
-// packed_state() expands it. rhs() keeps the packed layout, the
-// independent form solve() certifies against. docs/MODELS.md §6 derives
-// the lumping, §6a the stage solve.
+// stretches of a pulsed trajectory, where the rows keep both totals
+// within 4.8e-10 (EXPERIMENTS.md P14). The readouts take that state:
+// class i's download time is phi_1 + phi^c_2 + ... + phi^c_i (Little's
+// law, lambda_i cancels), the downloaders are sum over stages of phi
+// times the rate of the classes on that stage, and the seeds are
+// sum_i y^i; packed_state() expands it. rhs() keeps the packed layout,
+// the independent form solve() certifies against. docs/MODELS.md §6
+// derives the lumping, §6a the stage solve.
 
 #pragma once
 
